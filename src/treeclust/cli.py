@@ -124,10 +124,6 @@ def _emit(report: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _fmt_num(x: float) -> float:
-    return float(x)
-
-
 def cmd_check(args) -> int:
     cl = read_clustering(args.input, args.label_col)
     t0 = time.perf_counter()
@@ -284,7 +280,7 @@ def cmd_fit(args) -> int:
         },
         "solver": args.method,
         "result": {
-            "cost": _fmt_num(cost),
+            "cost": cost,
             "clusters": {str(lab): list(ids) for lab, ids in clusters.items()},
             **extra,
         },
@@ -315,7 +311,7 @@ def cmd_baseline(args) -> int:
     else:
         ratio = args.explainable_cost / res.cost
     result = {
-        "cost": _fmt_num(res.cost),
+        "cost": res.cost,
         "labels": list(res.labels),
         "centers": [list(c) for c in res.centers],
     }
@@ -492,13 +488,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LimitExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, LimitExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

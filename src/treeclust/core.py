@@ -105,6 +105,28 @@ def canonical_thresholds(ds: Dataset, dim: int) -> list[float]:
     return sorted({p[dim - 1] for p in ds.points})
 
 
+def _prefix_masks(points: Sequence[Point]) -> tuple[list[list[float]], list[list[int]]]:
+    """Per dimension (0-based): the sorted distinct coordinates and, for each
+    one, the bitmask of point ids whose coordinate is <= it. One sort per
+    dimension; the last mask of every dimension holds every point."""
+    coords: list[list[float]] = []
+    masks: list[list[int]] = []
+    for i in range(len(points[0])):
+        values: list[float] = []
+        row: list[int] = []
+        m = 0
+        for pid in sorted(range(len(points)), key=lambda pid: points[pid][i]):
+            m |= 1 << pid
+            if values and values[-1] == points[pid][i]:
+                row[-1] = m
+            else:
+                values.append(points[pid][i])
+                row.append(m)
+        coords.append(values)
+        masks.append(row)
+    return coords, masks
+
+
 def cut_apply(pts: Sequence[Point], cut: Cut) -> tuple[list[Point], list[Point]]:
     left = [p for p in pts if cut.goes_left(p)]
     right = [p for p in pts if not cut.goes_left(p)]

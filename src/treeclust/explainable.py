@@ -1,19 +1,29 @@
 """Optimal and approximate explainable clustering.
 
-Three solvers for minimizing the means/medians cost over clusterings
-induced by threshold trees with k nonempty leaves: a recursive branching
-search, a memoized dynamic program over point subsets, and an
-outlier-tolerant grid approximation that may drop up to an epsilon
-fraction of the points.
+Solvers for minimizing the means/medians cost over clusterings induced by
+threshold trees with k nonempty leaves. The two exact solvers,
+solve_branching (recursive branching search) and solve_dp (dynamic
+program over point subsets), run one memoized split search keyed by
+member bitmask and leaf quota, so they return the same tree; they differ
+only in their guard rails. solve_approx is an outlier-tolerant grid
+approximation that may drop up to an epsilon fraction of the points.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
-from .core import CostKind, Cut, Dataset, LimitExceededError, Point, centroid, cluster_cost
+from .core import (
+    CostKind,
+    Cut,
+    Dataset,
+    LimitExceededError,
+    Point,
+    _prefix_masks,
+    centroid,
+    cluster_cost,
+)
 from .tree import (
     Internal,
     Leaf,
@@ -71,70 +81,102 @@ def _relabel(node: TreeNode) -> TreeNode:
     return walk(node)
 
 
-def _finish(tree: ThresholdTree, ds: Dataset, cost: float, kind: CostKind) -> ExplainableResult:
-    clusters = tree_evaluate(tree, ds)
-    return ExplainableResult(tree, clusters, cost, kind)
+def _finish(node: TreeNode, ds: Dataset, cost: float, kind: CostKind) -> ExplainableResult:
+    tree = ThresholdTree(_relabel(node))
+    return ExplainableResult(tree, tree_evaluate(tree, ds), cost, kind)
 
 
-def _branch(
-    ids: tuple[int, ...], k: int, pts: Sequence[Point], kind: CostKind, memo: dict
-) -> tuple[float, TreeNode | None]:
-    key = (ids, k)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if k == 1:
-        ans = (cluster_cost([pts[i] for i in ids], kind), Leaf(0))
-        memo[key] = ans
-        return ans
-    d = len(pts[0])
-    best = _INF
-    best_node: TreeNode | None = None
-    for k1 in range(1, k):
-        k2 = k - k1
-        for dim in range(1, d + 1):
-            thetas = sorted({pts[i][dim - 1] for i in ids})[:-1]
-            for theta in thetas:
-                left = tuple(i for i in ids if pts[i][dim - 1] <= theta)
-                right = tuple(i for i in ids if pts[i][dim - 1] > theta)
-                if len(left) < k1 or len(right) < k2:
+def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]:
+    """Optimal k-leaf threshold tree by memoized split search.
+
+    A state is a member bitmask plus a leaf quota s. Its cuts are, per
+    dimension, every distinct member value except the largest, ascending;
+    a cut's left side is the member mask ANDed with a prefix "<= theta"
+    mask. The search tries s1 = 1..s-1, then dimensions, then cuts; it
+    skips a cut whose left optimum already reaches the best total, and
+    only a strictly better total replaces the incumbent, so ties go to
+    the first cut in that order.
+    """
+    pts = ds.points
+    _, prefix = _prefix_masks(pts)
+    memo: dict[tuple[int, int], tuple[float, TreeNode | None]] = {}
+
+    def solve(mask: int, s: int) -> tuple[float, TreeNode | None]:
+        hit = memo.get((mask, s))
+        if hit is not None:
+            return hit
+        if s == 1:
+            ans = (cluster_cost([p for i, p in enumerate(pts) if mask >> i & 1], kind), Leaf(0))
+            memo[(mask, s)] = ans
+            return ans
+        size = mask.bit_count()
+        splits = []
+        for dim, row in enumerate(prefix, start=1):
+            prev = 0
+            for upto in row:
+                lmask = mask & upto
+                if lmask == mask:
+                    break
+                if lmask != prev:
+                    # theta comes from the lowest new member, as it would from
+                    # a set of member values (this keeps the sign of a zero)
+                    new = lmask ^ prev
+                    theta = pts[(new & -new).bit_length() - 1][dim - 1]
+                    splits.append((dim, theta, lmask, mask ^ lmask, lmask.bit_count()))
+                    prev = lmask
+        best = _INF
+        best_node: TreeNode | None = None
+        for s1 in range(1, s):
+            s2 = s - s1
+            for dim, theta, lmask, rmask, nl in splits:
+                if nl < s1 or size - nl < s2:
                     continue
-                cl, nl = _branch(left, k1, pts, kind, memo)
+                cl, node_l = solve(lmask, s1)
                 if cl >= best:
                     continue
-                cr, nr = _branch(right, k2, pts, kind, memo)
+                cr, node_r = solve(rmask, s2)
                 total = cl + cr
                 if total < best:
                     best = total
-                    best_node = Internal(Cut(dim, theta), nl, nr)
-    memo[key] = (best, best_node)
-    return best, best_node
+                    best_node = Internal(Cut(dim, theta), node_l, node_r)
+        memo[(mask, s)] = (best, best_node)
+        return best, best_node
+
+    cost, node = solve((1 << ds.n) - 1, k)
+    if node is None:
+        raise ValueError("no explainable k-clustering: too few distinct points")
+    return cost, node
 
 
 def solve_branching(
     ds: Dataset, k: int, kind: CostKind, *, force: bool = False
 ) -> ExplainableResult:
-    """Optimal explainable k-clustering via recursive cut-and-split search."""
+    """Optimal explainable k-clustering by recursive cut-and-split search.
+
+    Runs the same memoized search as solve_dp; the two differ only in their
+    guard rails (this one limits k). Raises ValueError when the points have
+    fewer than k distinct positions.
+    """
     if not 1 <= k <= ds.n:
         raise ValueError(f"k must be in 1..{ds.n}")
     if k > BRANCH_MAX_K and not force:
         raise LimitExceededError(
             f"branching solver limited to k <= {BRANCH_MAX_K} (use force to override)"
         )
-    cost, node = _branch(tuple(range(ds.n)), k, ds.points, kind, {})
-    if node is None:
-        raise ValueError("no explainable k-clustering: too few distinct points")
-    tree = ThresholdTree(_relabel(node))
-    return _finish(tree, ds, cost, kind)
+    cost, node = _split_search(ds, k, kind)
+    return _finish(node, ds, cost, kind)
 
 
 def solve_dp(
     ds: Dataset, k: int, kind: CostKind, *, force: bool = False
 ) -> ExplainableResult:
-    """Same optimum as solve_branching, memoized on box membership.
+    """Optimal explainable k-clustering by dynamic programming over point
+    subsets (canonical boxes with equal membership merged).
 
-    Canonical boxes with identical point membership are merged, so states
-    are keyed by the member bitmask and the leaf quota.
+    Runs the same memoized search as solve_branching and returns the same
+    tree, ties included; the two differ only in their guard rails (this
+    one limits n and d). Raises ValueError when the points have fewer than
+    k distinct positions.
     """
     if not 1 <= k <= ds.n:
         raise ValueError(f"k must be in 1..{ds.n}")
@@ -142,54 +184,8 @@ def solve_dp(
         raise LimitExceededError(
             f"dp solver limited to n <= {DP_MAX_N}, d <= {DP_MAX_D} (use force to override)"
         )
-    pts = ds.points
-    d = ds.d
-    memo: dict[tuple[int, int], tuple[float, TreeNode | None]] = {}
-
-    def omega(mask: int, s: int) -> tuple[float, TreeNode | None]:
-        hit = memo.get((mask, s))
-        if hit is not None:
-            return hit
-        members = [i for i in range(ds.n) if mask >> i & 1]
-        if not members:
-            memo[(mask, s)] = (_INF, None)
-            return _INF, None
-        if s == 1:
-            ans = (cluster_cost([pts[i] for i in members], kind), Leaf(0))
-            memo[(mask, s)] = ans
-            return ans
-        best = _INF
-        best_node: TreeNode | None = None
-        for s1 in range(1, s):
-            s2 = s - s1
-            for dim in range(1, d + 1):
-                thetas = sorted({pts[i][dim - 1] for i in members})[:-1]
-                for theta in thetas:
-                    lmask = 0
-                    rmask = 0
-                    for i in members:
-                        if pts[i][dim - 1] <= theta:
-                            lmask |= 1 << i
-                        else:
-                            rmask |= 1 << i
-                    if lmask.bit_count() < s1 or rmask.bit_count() < s2:
-                        continue
-                    cl, nl = omega(lmask, s1)
-                    if cl >= best:
-                        continue
-                    cr, nr = omega(rmask, s2)
-                    total = cl + cr
-                    if total < best:
-                        best = total
-                        best_node = Internal(Cut(dim, theta), nl, nr)
-        memo[(mask, s)] = (best, best_node)
-        return best, best_node
-
-    cost, node = omega((1 << ds.n) - 1, k)
-    if node is None or cost == _INF:
-        raise ValueError("no explainable k-clustering: too few distinct points")
-    tree = ThresholdTree(_relabel(node))
-    return _finish(tree, ds, cost, kind)
+    cost, node = _split_search(ds, k, kind)
+    return _finish(node, ds, cost, kind)
 
 
 def _rank_grid(ds: Dataset, k: int, epsilon: float, nprime: int):
@@ -246,7 +242,7 @@ def solve_approx(
     if not options:
         return exact_fallback()
     pts = ds.points
-    best: tuple[float, ThresholdTree, frozenset[int]] | None = None
+    best: tuple[float, TreeNode, frozenset[int]] | None = None
 
     def search(shape, ids: list[int], used: list[tuple[int, int]]):
         """Yield (node, leaf id lists) for every grid-cut assignment; `used`
@@ -265,39 +261,27 @@ def solve_approx(
     all_ids = list(range(ds.n))
     for shape in enumerate_shapes(k):
         assert shape_leaf_count(shape) == k
-        for node, _, used in search(shape, all_ids, []):
+        for node, leaves, used in search(shape, all_ids, []):
             removed: set[int] = set()
             for dim, gi in used:
                 removed |= bands[dim - 1][gi]
-            kept = [i for i in all_ids if i not in removed]
-            if not kept:
-                continue
-            tree = ThresholdTree(_relabel(node))
-            leaves = _route(tree.root, kept, pts)
+            leaves = [[i for i in leaf if i not in removed] for leaf in leaves]
             if any(not leaf for leaf in leaves):
                 continue
             cost = sum(cluster_cost([pts[i] for i in leaf], kind) for leaf in leaves)
             if best is None or cost < best[0]:
-                best = (cost, tree, frozenset(removed))
+                best = (cost, node, frozenset(removed))
     if best is None:
         return exact_fallback()
-    cost, tree, removed = best
+    cost, node, removed = best
     return ApproxResult(
         kept=frozenset(all_ids) - removed,
         removed=removed,
-        tree=tree,
+        tree=ThresholdTree(_relabel(node)),
         cost=cost,
         epsilon=epsilon,
         rank_grid=grid_out,
     )
-
-
-def _route(node: TreeNode, ids: Sequence[int], pts: Sequence[Point]) -> list[list[int]]:
-    if isinstance(node, Leaf):
-        return [list(ids)]
-    left = [i for i in ids if node.cut.goes_left(pts[i])]
-    right = [i for i in ids if not node.cut.goes_left(pts[i])]
-    return _route(node.left, left, pts) + _route(node.right, right, pts)
 
 
 def lloyd_baseline(

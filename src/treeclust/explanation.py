@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Cut, Dataset, LimitExceededError, Point
+from .core import Cut, Dataset, LimitExceededError, Point, _prefix_masks
 from .tree import Internal, Leaf, ThresholdTree, TreeNode
 
 _INF = 1 << 40
@@ -182,18 +182,8 @@ class _ExactSolver:
         self.k = cl.k
         self.budget = budget
         self.full = (1 << self.n) - 1
-        self.coords = [sorted({p[i] for p in ds.points}) for i in range(self.d)]
         # left_masks[i][j]: points with coordinate i <= coords[i][j]
-        self.left_masks: list[list[int]] = []
-        for i in range(self.d):
-            row = []
-            for theta in self.coords[i]:
-                m = 0
-                for pid, p in enumerate(ds.points):
-                    if p[i] <= theta:
-                        m |= 1 << pid
-                row.append(m)
-            self.left_masks.append(row)
+        self.coords, self.left_masks = _prefix_masks(ds.points)
         self.cmask = [0] * (self.k + 1)
         for pid, lab in enumerate(cl.labels):
             self.cmask[lab] |= 1 << pid

@@ -119,11 +119,8 @@ def validate_tree(tree: ThresholdTree, d: int, k: int) -> list[str]:
         violations.append(f"expected {k} leaves, found {len(labels)}")
     if len(set(labels)) != len(labels):
         violations.append("duplicate leaf label")
-    if sorted(set(labels)) != list(range(1, len(labels) + 1)) and not any(
-        v.startswith("duplicate") for v in violations
-    ):
-        if set(labels) != set(range(1, len(labels) + 1)):
-            violations.append("leaf labels are not a permutation of 1..k")
+    elif set(labels) != set(range(1, len(labels) + 1)):
+        violations.append("leaf labels are not a permutation of 1..k")
 
     def walk(node: TreeNode) -> None:
         if isinstance(node, Leaf):

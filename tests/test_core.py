@@ -14,6 +14,7 @@ from treeclust import (
     cluster_cost,
     cut_apply,
 )
+from treeclust.core import _prefix_masks
 
 
 def test_dataset_validation():
@@ -44,6 +45,19 @@ def test_canonical_thresholds_sorted_distinct():
     assert canonical_thresholds(ds, 2) == [0.0, 2.0]
     with pytest.raises(ValueError):
         canonical_thresholds(ds, 3)
+
+
+def test_prefix_masks_on_duplicate_coordinates():
+    ds = Dataset.from_rows([[3, 0], [1, 0], [3, 2], [1, 5], [2, 0]])
+    coords, masks = _prefix_masks(ds.points)
+    # one entry per distinct value, as canonical_thresholds lists them
+    assert coords == [canonical_thresholds(ds, 1), canonical_thresholds(ds, 2)]
+    assert masks == [[0b01010, 0b11010, 0b11111], [0b10011, 0b10111, 0b11111]]
+    for dim, (values, row) in enumerate(zip(coords, masks)):
+        for theta, m in zip(values, row):
+            assert m == sum(1 << i for i, p in enumerate(ds.points) if p[dim] <= theta)
+        assert all(a & ~b == 0 and a != b for a, b in zip(row, row[1:]))  # nested
+        assert row[-1] == (1 << ds.n) - 1
 
 
 def test_means_cost_and_centroid():

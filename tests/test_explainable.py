@@ -14,6 +14,7 @@ from treeclust import (
     solve_branching,
     solve_dp,
     tree_evaluate,
+    tree_to_json_obj,
     validate_tree,
 )
 from helpers import random_points
@@ -59,6 +60,13 @@ class TestSolveBranching:
             solve_branching(gapped_1d(), 5, CostKind.MEANS)
         with pytest.raises(ValueError):
             solve_branching(gapped_1d(), 0, CostKind.MEANS)
+
+    @pytest.mark.parametrize("solver", [solve_branching, solve_dp])
+    def test_k_above_distinct_points(self, solver):
+        ds = Dataset.from_rows([(0, 1), (2, 2), (0, 1), (2, 2), (0, 1)])
+        with pytest.raises(ValueError, match="too few distinct points"):
+            solver(ds, 3, CostKind.MEANS)
+        assert solver(ds, 2, CostKind.MEANS).cost == 0.0
 
     def test_guard_rail(self):
         ds = Dataset.from_rows([(float(i),) for i in range(12)])
@@ -126,6 +134,60 @@ class TestSolveDp:
         a = solve_dp(ds, 3, CostKind.MEANS)
         b = solve_dp(ds, 3, CostKind.MEANS)
         assert a.tree == b.tree and a.cost == b.cost
+
+
+def _leaf(label):
+    return {"leaf": label}
+
+
+def _node(dim, theta, left, right):
+    return {"dim": dim, "theta": theta, "left": left, "right": right}
+
+
+# Tie-heavy integer grids (coordinates 0..3, n <= 12) with the trees and
+# costs that both exact solvers returned before they shared one search:
+# (seed, n, d, k, kind) -> (cost, tree JSON).
+GOLDEN = {
+    (101, 10, 2, 3, "means"): (
+        5.733333333333334,
+        _node(2, 1.0, _node(1, 2.0, _leaf(1), _leaf(2)), _leaf(3)),
+    ),
+    (102, 12, 2, 3, "medians"): (
+        8.0,
+        _node(1, 1.0, _node(2, 1.0, _leaf(1), _leaf(2)), _leaf(3)),
+    ),
+    (103, 9, 1, 2, "means"): (1.5499999999999998, _node(1, 1.0, _leaf(1), _leaf(2))),
+    (104, 12, 2, 2, "medians"): (10.0, _node(2, 0.0, _leaf(1), _leaf(2))),
+    (105, 11, 3, 3, "means"): (
+        10.933333333333334,
+        _node(3, 1.0, _leaf(1), _node(2, 1.0, _leaf(2), _leaf(3))),
+    ),
+    (106, 8, 2, 3, "medians"): (
+        3.0,
+        _node(1, 1.0, _leaf(1), _node(2, 0.0, _leaf(2), _leaf(3))),
+    ),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    @pytest.mark.parametrize("solver", [solve_branching, solve_dp])
+    def test_exact_solvers_pinned(self, solver, case):
+        seed, n, d, k, kind = case
+        ds = Dataset(random_points(random.Random(seed), n, d, hi=3))
+        res = solver(ds, k, CostKind(kind))
+        cost, tree = GOLDEN[case]
+        assert res.cost == cost
+        assert tree_to_json_obj(res.tree) == {"k": k, "tree": tree}
+
+    def test_approx_pinned(self):
+        # several grid trees reach cost 9; the first one found is kept
+        ds = Dataset(random_points(random.Random(108), 12, 2, hi=3))
+        res = solve_approx(ds, 2, CostKind.MEDIANS, 0.4)
+        assert res.cost == 9.0
+        assert tree_to_json_obj(res.tree) == {"k": 2, "tree": _node(1, 1.0, _leaf(1), _leaf(2))}
+        assert res.removed == frozenset({4, 5})
+        assert res.rank_grid == ((1.0, 1.0, 1.0, 2.0, 3.0, 3.0), (0.0, 0.0, 0.0, 1.0, 2.0, 3.0))
 
 
 class TestSolveApprox:
