@@ -3,7 +3,9 @@
 Subcommands: check, explain, kernel, fit, baseline, gen (plus a hidden
 oracle command for debugging). JSON reports go to stdout, diagnostics to
 stderr. Exit codes: 0 success / positive answer, 1 well-formed but
-negative or infeasible answer, 2 usage or input error.
+negative or infeasible answer, 2 usage or input error, 3 internal failure
+(a failed self-check, RecursionError or MemoryError; stderr reads
+"error: internal: <Type>: <message>").
 """
 from __future__ import annotations
 
@@ -491,6 +493,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, LimitExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, RecursionError, MemoryError) as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import median_low
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Point = tuple[float, ...]
 
@@ -125,6 +125,22 @@ def _prefix_masks(points: Sequence[Point]) -> tuple[list[list[float]], list[list
         coords.append(values)
         masks.append(row)
     return coords, masks
+
+
+def _splits(mask: int, prefix: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:
+    """Every canonical cut of the member set ``mask`` that leaves both sides
+    nonempty, as (dim, left mask, members new to the left side). ``prefix``
+    is the mask table of ``_prefix_masks``; dim is 1-based. Cuts come per
+    dimension in ascending threshold order, one per distinct left side."""
+    for dim, row in enumerate(prefix, start=1):
+        prev = 0
+        for upto in row:
+            lmask = mask & upto
+            if lmask == mask:
+                break
+            if lmask != prev:
+                yield dim, lmask, lmask ^ prev
+                prev = lmask
 
 
 def cut_apply(pts: Sequence[Point], cut: Cut) -> tuple[list[Point], list[Point]]:

@@ -21,6 +21,7 @@ from .core import (
     LimitExceededError,
     Point,
     _prefix_masks,
+    _splits,
     centroid,
     cluster_cost,
 )
@@ -89,13 +90,12 @@ def _finish(node: TreeNode, ds: Dataset, cost: float, kind: CostKind) -> Explain
 def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]:
     """Optimal k-leaf threshold tree by memoized split search.
 
-    A state is a member bitmask plus a leaf quota s. Its cuts are, per
-    dimension, every distinct member value except the largest, ascending;
-    a cut's left side is the member mask ANDed with a prefix "<= theta"
-    mask. The search tries s1 = 1..s-1, then dimensions, then cuts; it
-    skips a cut whose left optimum already reaches the best total, and
-    only a strictly better total replaces the incumbent, so ties go to
-    the first cut in that order.
+    A state is a member bitmask plus a leaf quota s. Its cuts are those of
+    ``core._splits``: per dimension, every distinct member value except the
+    largest, ascending. The search tries s1 = 1..s-1, then dimensions,
+    then cuts; it skips a cut whose left optimum already reaches the best
+    total, and only a strictly better total replaces the incumbent, so
+    ties go to the first cut in that order.
     """
     pts = ds.points
     _, prefix = _prefix_masks(pts)
@@ -110,20 +110,13 @@ def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]
             memo[(mask, s)] = ans
             return ans
         size = mask.bit_count()
-        splits = []
-        for dim, row in enumerate(prefix, start=1):
-            prev = 0
-            for upto in row:
-                lmask = mask & upto
-                if lmask == mask:
-                    break
-                if lmask != prev:
-                    # theta comes from the lowest new member, as it would from
-                    # a set of member values (this keeps the sign of a zero)
-                    new = lmask ^ prev
-                    theta = pts[(new & -new).bit_length() - 1][dim - 1]
-                    splits.append((dim, theta, lmask, mask ^ lmask, lmask.bit_count()))
-                    prev = lmask
+        # theta comes from the lowest new member, as it would from a set of
+        # member values (this keeps the sign of a zero)
+        splits = [
+            (dim, pts[(new & -new).bit_length() - 1][dim - 1], lmask, mask ^ lmask,
+             lmask.bit_count())
+            for dim, lmask, new in _splits(mask, prefix)
+        ]
         best = _INF
         best_node: TreeNode | None = None
         for s1 in range(1, s):

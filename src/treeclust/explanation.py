@@ -2,15 +2,16 @@
 clustering by removing outliers, plus instance kernelization.
 
 The greedy path repeatedly picks the cheapest separating cut; the exact
-path runs a dynamic program over half-open boxes keyed by canonical
-coordinate indices, with cluster subsets tracked as bitmasks.
+path runs a dynamic program over the boxes that canonical cuts carve out,
+keyed by the box's member bitmask (boxes with the same points share one
+state), with cluster subsets tracked as bitmasks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Cut, Dataset, LimitExceededError, Point, _prefix_masks
+from .core import Cut, Dataset, LimitExceededError, Point, _prefix_masks, _splits
 from .tree import Internal, Leaf, ThresholdTree, TreeNode
 
 _INF = 1 << 40
@@ -170,56 +171,39 @@ def check_explainable(cl: Clustering) -> bool:
 class _ExactSolver:
     """Box dynamic program for minimum-outlier explanation.
 
-    State: a half-open box given by per-dimension index pairs into the
-    sorted canonical thresholds (lo = -1 means -inf, hi = len means +inf)
-    plus the bitmask of clusters still kept in play.
+    State: the member bitmask of a box carved out by canonical cuts plus the
+    bitmask of clusters still kept in play. Boxes holding the same points
+    have the same optimum, so they share one state; a box's cuts are those
+    of ``core._splits``, which skips cuts that leave one side empty (such a
+    cut would map a state to itself).
     """
 
     def __init__(self, cl: Clustering, budget: int):
-        ds = cl.ds
-        self.n = ds.n
-        self.d = ds.d
         self.k = cl.k
         self.budget = budget
-        self.full = (1 << self.n) - 1
-        # left_masks[i][j]: points with coordinate i <= coords[i][j]
-        self.coords, self.left_masks = _prefix_masks(ds.points)
-        self.cmask = [0] * (self.k + 1)
+        self.full = (1 << cl.ds.n) - 1
+        _, self.prefix = _prefix_masks(cl.ds.points)
+        self.cmask = [0] * (self.k + 1)  # cmask[0] stays empty
         for pid, lab in enumerate(cl.labels):
             self.cmask[lab] |= 1 << pid
         self.csize = [m.bit_count() for m in self.cmask]
-        self.memo: dict[tuple, tuple[int, tuple | None]] = {}
-        self.box_cache: dict[tuple, int] = {}
-        self.root_key = tuple((-1, len(self.coords[i])) for i in range(self.d))
+        self.memo: dict[tuple[int, int], tuple[int, tuple | None]] = {}
         self.all_smask = (1 << self.k) - 1  # bit lab-1 = cluster lab kept
 
-    def box_mask(self, key: tuple) -> int:
-        m = self.box_cache.get(key)
-        if m is None:
-            m = self.full
-            for i, (lo, hi) in enumerate(key):
-                row = self.left_masks[i]
-                upper = row[hi] if hi < len(row) else self.full
-                lower = row[lo] if lo >= 0 else 0
-                m &= upper & (self.full ^ lower)
-            self.box_cache[key] = m
-        return m
-
     def solve(self) -> int:
-        return self.w(self.root_key, self.all_smask)
+        return self.w(self.full, self.all_smask)
 
-    def w(self, key: tuple, smask: int) -> int:
-        entry = self.memo.get((key, smask))
+    def w(self, bm: int, smask: int) -> int:
+        entry = self.memo.get((bm, smask))
         if entry is not None:
             return entry[0]
-        value, choice = self._compute(key, smask)
+        value, choice = self._compute(bm, smask)
         if value > self.budget:
             value = _INF
-        self.memo[(key, smask)] = (value, choice)
+        self.memo[(bm, smask)] = (value, choice)
         return value
 
-    def _compute(self, key: tuple, smask: int) -> tuple[int, tuple | None]:
-        bm = self.box_mask(key)
+    def _compute(self, bm: int, smask: int) -> tuple[int, tuple | None]:
         notbm = self.full ^ bm
         nsplit = 0
         for lab in range(1, self.k + 1):
@@ -236,7 +220,7 @@ class _ExactSolver:
         )
         lost_sum = sum((self.cmask[lab] & notbm).bit_count() for lab in kept)
         if len(kept) <= 1:
-            return out_sum + lost_sum, ("base",)
+            return out_sum + lost_sum, ("base", kept[0] if kept else 0)
         best = _INF
         best_choice: tuple | None = None
         # Collapse: keep a single surviving cluster inside this box.
@@ -250,93 +234,74 @@ class _ExactSolver:
                 best = val
                 best_choice = ("collapse", lab)
         # Split by a canonical cut inside the box.
-        for i in range(self.d):
-            lo, hi = key[i]
-            m = len(self.coords[i])
-            top = (hi if hi < m else m) - 1
-            for t in range(lo + 1, top + 1):
-                lkey = key[:i] + ((lo, t),) + key[i + 1 :]
-                rkey = key[:i] + ((t, hi),) + key[i + 1 :]
-                lbm = self.box_mask(lkey)
-                rbm = self.box_mask(rkey)
-                forced1 = 0
-                forced2 = 0
-                free: list[int] = []
-                ok = True
+        for _, lbm, _ in _splits(bm, self.prefix):
+            rbm = bm ^ lbm
+            forced1 = 0
+            forced2 = 0
+            free: list[int] = []
+            ok = True
+            for lab in kept:
+                cm = self.cmask[lab]
+                in_l = cm & lbm
+                in_r = cm & rbm
+                if in_l and in_r:
+                    free.append(lab)
+                elif in_l:
+                    forced1 |= 1 << (lab - 1)
+                elif in_r:
+                    forced2 |= 1 << (lab - 1)
+                else:
+                    ok = False  # kept cluster fully outside the box
+                    break
+            if not ok:
+                continue
+            for fsub in range(1 << len(free)):
+                smask1 = forced1
+                smask2 = forced2
+                for idx, lab in enumerate(free):
+                    if fsub >> idx & 1:
+                        smask1 |= 1 << (lab - 1)
+                    else:
+                        smask2 |= 1 << (lab - 1)
+                w1 = self.w(lbm, smask1)
+                if w1 >= _INF:
+                    continue
+                w2 = self.w(rbm, smask2)
+                if w2 >= _INF:
+                    continue
+                delta = 0
                 for lab in kept:
                     cm = self.cmask[lab]
-                    in_l = cm & lbm
-                    in_r = cm & rbm
-                    if in_l and in_r:
-                        free.append(lab)
-                    elif in_l:
-                        forced1 |= 1 << (lab - 1)
-                    elif in_r:
-                        forced2 |= 1 << (lab - 1)
+                    if smask1 >> (lab - 1) & 1:
+                        delta += (cm & rbm).bit_count()
                     else:
-                        ok = False  # kept cluster fully outside the box
-                        break
-                if not ok:
-                    continue
-                for fsub in range(1 << len(free)):
-                    smask1 = forced1
-                    smask2 = forced2
-                    for idx, lab in enumerate(free):
-                        if fsub >> idx & 1:
-                            smask1 |= 1 << (lab - 1)
-                        else:
-                            smask2 |= 1 << (lab - 1)
-                    w1 = self.w(lkey, smask1)
-                    if w1 >= _INF:
-                        continue
-                    w2 = self.w(rkey, smask2)
-                    if w2 >= _INF:
-                        continue
-                    delta = 0
-                    for lab in kept:
-                        cm = self.cmask[lab]
-                        if smask1 >> (lab - 1) & 1:
-                            delta += (cm & rbm).bit_count()
-                        else:
-                            delta += (cm & lbm).bit_count()
-                    val = w1 + w2 - delta
-                    if val < best:
-                        best = val
-                        best_choice = ("cut", lkey, rkey, smask1, smask2)
+                        delta += (cm & lbm).bit_count()
+                val = w1 + w2 - delta
+                if val < best:
+                    best = val
+                    best_choice = ("cut", lbm, smask1, smask2)
         return best, best_choice
-
 
     def removal_set(self) -> set[int]:
         removed: set[int] = set()
-        self._collect(self.root_key, self.all_smask, removed)
+        self._collect(self.full, self.all_smask, removed)
         return removed
 
-    def _collect(self, key: tuple, smask: int, out: set[int]) -> None:
-        _, choice = self.memo[(key, smask)]
-        bm = self.box_mask(key)
-        kept = [lab for lab in range(1, self.k + 1) if smask >> (lab - 1) & 1]
+    def _collect(self, bm: int, smask: int, out: set[int]) -> None:
+        _, choice = self.memo[(bm, smask)]
         if choice is None:
             raise AssertionError("reconstruction reached an infeasible state")
-        if choice[0] == "base":
-            if len(kept) == 0:
-                survivors_mask = 0
-            else:
-                survivors_mask = self.cmask[kept[0]]
-            gone = bm & (self.full ^ survivors_mask)
-            while gone:
-                low = gone & -gone
-                out.add(low.bit_length() - 1)
-                gone ^= low
-        elif choice[0] == "collapse":
-            gone = bm & (self.full ^ self.cmask[choice[1]])
-            while gone:
-                low = gone & -gone
-                out.add(low.bit_length() - 1)
-                gone ^= low
-        else:
-            _, lkey, rkey, smask1, smask2 = choice
-            self._collect(lkey, smask1, out)
-            self._collect(rkey, smask2, out)
+        if choice[0] == "cut":
+            _, lbm, smask1, smask2 = choice
+            self._collect(lbm, smask1, out)
+            self._collect(bm ^ lbm, smask2, out)
+            return
+        # base and collapse: every member outside the one surviving cluster goes
+        gone = bm & (self.full ^ self.cmask[choice[1]])
+        while gone:
+            low = gone & -gone
+            out.add(low.bit_length() - 1)
+            gone ^= low
 
 
 def exact_explain(

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from treeclust import cli
+
 SEP_CSV = "x1,x2,cluster\n0,0,1\n1,1,1\n10,0,2\n11,1,2\n"
 XOR_CSV = "x1,x2,cluster\n0,0,1\n1,1,1\n0,1,2\n1,0,2\n"
 
@@ -44,6 +46,17 @@ class TestCheck:
         proc = run_cli("check", xor_csv)
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["result"]["explainable"] is False
+
+    def test_internal_failure_exits_three(self, sep_csv, monkeypatch, capsys):
+        # a failed self-check is not a negative answer (exit 1)
+        def broken(cl):
+            raise AssertionError("DP survivors are not explainable")
+
+        monkeypatch.setattr(cli, "check_explainable", broken)
+        assert cli.main(["check", sep_csv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal:")
+        assert "AssertionError: DP survivors are not explainable" in err
 
     def test_missing_file_exits_two(self):
         proc = run_cli("check", "no-such-file.csv")

@@ -14,7 +14,7 @@ from treeclust import (
     cluster_cost,
     cut_apply,
 )
-from treeclust.core import _prefix_masks
+from treeclust.core import _prefix_masks, _splits
 
 
 def test_dataset_validation():
@@ -58,6 +58,23 @@ def test_prefix_masks_on_duplicate_coordinates():
             assert m == sum(1 << i for i, p in enumerate(ds.points) if p[dim] <= theta)
         assert all(a & ~b == 0 and a != b for a, b in zip(row, row[1:]))  # nested
         assert row[-1] == (1 << ds.n) - 1
+
+
+def test_splits_leave_both_sides_nonempty():
+    ds = Dataset.from_rows([[3, 0], [1, 0], [3, 2], [1, 5], [2, 0]])
+    _, masks = _prefix_masks(ds.points)
+    assert list(_splits(0b11111, masks)) == [
+        (1, 0b01010, 0b01010), (1, 0b11010, 0b10000),
+        (2, 0b10011, 0b10011), (2, 0b10111, 0b00100),
+    ]
+    # points 0, 2, 4: the cut at x1 <= 1 holds none of them, x1 <= 3 all
+    assert list(_splits(0b10101, masks)) == [(1, 0b10000, 0b10000), (2, 0b10001, 0b10001)]
+    for mask in range(1, 1 << ds.n):
+        prev = {}
+        for dim, left, new in _splits(mask, masks):
+            assert 0 != left and left & mask == left != mask
+            assert new == left & ~prev.get(dim, 0) and new
+            prev[dim] = left
 
 
 def test_means_cost_and_centroid():

@@ -152,7 +152,7 @@ class TestExactExplain:
     def test_matches_brute_oracle(self):
         rng = random.Random(24)
         for _ in range(60):
-            cl = mixed_instance(rng, rng.randint(3, 9), rng.randint(1, 2), rng.randint(2, 3))
+            cl = mixed_instance(rng, rng.randint(3, 9), rng.randint(1, 3), rng.randint(2, 3))
             for s in range(4):
                 b = brute_explanation(cl, s)
                 e = exact_explain(cl, s)
@@ -160,6 +160,24 @@ class TestExactExplain:
                 if b is not None and e is not None:
                     assert len(e.removed) <= s
                     assert survivors_match(cl, e)
+
+    def test_cuts_with_an_empty_side_are_skipped(self):
+        # the second coordinate is constant, so its one canonical cut keeps
+        # every point on the left; a DP state keyed by members that took it
+        # would map to itself and recurse without end
+        xs = (0, 0, 1, 1, 2, 2, 3, 3, 4, 4)
+        labels = (1, 1, 2, 1, 2, 2, 3, 2, 3, 3)
+        flat = Clustering(Dataset.from_rows([(x, 5) for x in xs]), labels, 3)
+        line = Clustering(Dataset.from_rows([(x,) for x in xs]), labels, 3)
+        for s in range(4):
+            e = exact_explain(flat, s)
+            e1 = exact_explain(line, s)
+            b = brute_explanation(flat, s)
+            assert (e is None) == (e1 is None) == (b is None) == (s < 2)
+            if e is not None:
+                assert e.removed == e1.removed
+                assert len(e.removed) == len(b[0]) == 2
+                assert survivors_match(flat, e)
 
     def test_monotone_in_budget(self):
         rng = random.Random(25)
@@ -175,6 +193,46 @@ class TestExactExplain:
             exact_explain(cl, 0)
         kern, _ = kernelize(cl, 0)
         assert kern.ds.n <= 31  # kernel route works without force
+
+
+def tie_heavy_instance(seed: int) -> Clustering:
+    """Ten points in {0, 1, 2}^3, four of them copies, with shuffled labels."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 3)
+    base = [tuple(float(rng.randint(0, 2)) for _ in range(3)) for _ in range(6)]
+    pts = base + [rng.choice(base) for _ in range(4)]
+    labels = [(i % k) + 1 for i in range(len(pts))]
+    rng.shuffle(labels)
+    return Clustering(Dataset(tuple(pts)), tuple(labels), k)
+
+
+class TestExactGolden:
+    """Pins which of several optimal removal sets the exact DP returns.
+
+    Each input has between 2 and 10 optimal removal sets (counted by
+    enumeration); the DP returns the first it finds in its cut order, and
+    letting an equal value replace the incumbent changes every one of them.
+    """
+
+    EXPECTED = {
+        0: (3, {0, 6, 8, 9}),
+        4: (2, {2, 5, 7, 9}),
+        5: (3, {0, 1, 5, 6, 7}),
+        6: (2, {3, 6, 7, 9}),
+        12: (3, {1, 3, 4, 6, 7}),
+        24: (3, {3, 6, 7, 9}),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(EXPECTED))
+    def test_removal_sets(self, seed):
+        k, removed = self.EXPECTED[seed]
+        cl = tie_heavy_instance(seed)
+        assert cl.k == k
+        opt, res = opt_explain(cl)
+        assert (opt, set(res.removed)) == (len(removed), removed)
+        assert set(exact_explain(cl, opt).removed) == removed
+        assert exact_explain(cl, opt - 1) is None
+        assert survivors_match(cl, res)
 
 
 class TestOptExplain:
