@@ -105,26 +105,25 @@ def canonical_thresholds(ds: Dataset, dim: int) -> list[float]:
     return sorted({p[dim - 1] for p in ds.points})
 
 
-def _prefix_masks(points: Sequence[Point]) -> tuple[list[list[float]], list[list[int]]]:
-    """Per dimension (0-based): the sorted distinct coordinates and, for each
-    one, the bitmask of point ids whose coordinate is <= it. One sort per
-    dimension; the last mask of every dimension holds every point."""
-    coords: list[list[float]] = []
+def _prefix_masks(points: Sequence[Point]) -> list[list[int]]:
+    """Per dimension (0-based), one bitmask per distinct coordinate value in
+    ascending order: the ids of the points whose coordinate is <= it. One
+    sort per dimension; the last mask of every dimension holds every point."""
     masks: list[list[int]] = []
     for i in range(len(points[0])):
-        values: list[float] = []
         row: list[int] = []
         m = 0
+        prev: float | None = None
         for pid in sorted(range(len(points)), key=lambda pid: points[pid][i]):
             m |= 1 << pid
-            if values and values[-1] == points[pid][i]:
+            value = points[pid][i]
+            if value == prev:
                 row[-1] = m
             else:
-                values.append(points[pid][i])
                 row.append(m)
-        coords.append(values)
+            prev = value
         masks.append(row)
-    return coords, masks
+    return masks
 
 
 def _splits(mask: int, prefix: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:

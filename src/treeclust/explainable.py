@@ -98,7 +98,7 @@ def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]
     ties go to the first cut in that order.
     """
     pts = ds.points
-    _, prefix = _prefix_masks(pts)
+    prefix = _prefix_masks(pts)
     memo: dict[tuple[int, int], tuple[float, TreeNode | None]] = {}
 
     def solve(mask: int, s: int) -> tuple[float, TreeNode | None]:

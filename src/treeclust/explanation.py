@@ -1,10 +1,14 @@
 """Clustering explanation: test, approximate, and exactly repair a given
 clustering by removing outliers, plus instance kernelization.
 
-The greedy path repeatedly picks the cheapest separating cut; the exact
-path runs a dynamic program over the boxes that canonical cuts carve out,
-keyed by the box's member bitmask (boxes with the same points share one
-state), with cluster subsets tracked as bitmasks.
+The greedy path repeatedly picks the cheapest separating cut, the least
+(removal count, dim, θ), found by one sorted sweep per dimension with
+per-cluster left/right counts: O(d·n log n + d·n·k) per tree node. The
+explainability test walks the same recursion and stops at the first node
+whose cheapest cut removes a point. The exact path runs a dynamic program
+over the boxes that canonical cuts carve out, keyed by the box's member
+bitmask (boxes with the same points share one state), with cluster subsets
+tracked as bitmasks.
 """
 from __future__ import annotations
 
@@ -64,71 +68,99 @@ class ExplanationResult:
         return len(self.removed)
 
 
+def _drop_left(left: Sequence[int], right: Sequence[int]) -> list[bool]:
+    """Which part of each present cluster a cut removes, given the clusters'
+    point counts on its left and right side in label order: True drops the
+    left part, False the right part, so every survivor ends up wholly on one
+    side. Three cases by per-cluster majorities; the chosen cluster in the
+    one-sided cases may be deleted entirely."""
+    idx = range(len(left))
+    more_left = [l > r for l, r in zip(left, right)]
+    more_right = [r > l for l, r in zip(left, right)]
+    if all(more_left):
+        # Everyone majority-left: evict one cluster's left part (smallest,
+        # ties by label), trim the others' right parts.
+        chosen = min(idx, key=left.__getitem__)
+        return [j == chosen for j in idx]
+    if all(more_right):
+        chosen = min(idx, key=right.__getitem__)
+        return [j != chosen for j in idx]
+    # Mixed majorities: each cluster keeps its larger side; balanced clusters
+    # are assigned so both sides end up hosting at least one cluster.
+    committed_left = any(more_left)
+    committed_right = any(more_right)
+    drops = more_right
+    for j in idx:
+        if left[j] == right[j]:
+            if not committed_left:
+                committed_left = True
+            elif not committed_right:
+                drops[j] = True
+                committed_right = True
+    return drops
+
+
 def _cut_removal(
     pts: Sequence[Point], labels: Sequence[int], active: Sequence[int], dim: int, theta: float
 ) -> set[int]:
-    """Removal set for one cut: every surviving cluster ends up wholly on one
-    side. Three cases by per-cluster majorities; the chosen cluster in the
-    one-sided cases may be deleted entirely."""
+    """Removal set for one cut, by the case analysis of ``_drop_left``."""
     parts: dict[int, tuple[list[int], list[int]]] = {}
     for i in active:
         side = parts.setdefault(labels[i], ([], []))
         side[0 if pts[i][dim - 1] <= theta else 1].append(i)
-    present = sorted(parts)
-    if all(len(l) > len(r) for l, r in parts.values()):
-        # Everyone majority-left: evict one cluster's left part (smallest,
-        # ties by label), trim the others' right parts.
-        chosen = min(present, key=lambda lab: (len(parts[lab][0]), lab))
-        removed = set(parts[chosen][0])
-        for lab in present:
-            if lab != chosen:
-                removed.update(parts[lab][1])
-        return removed
-    if all(len(r) > len(l) for l, r in parts.values()):
-        chosen = min(present, key=lambda lab: (len(parts[lab][1]), lab))
-        removed = set(parts[chosen][1])
-        for lab in present:
-            if lab != chosen:
-                removed.update(parts[lab][0])
-        return removed
-    # Mixed majorities: each cluster keeps its larger side; balanced clusters
-    # are assigned so both sides end up hosting at least one cluster.
-    committed_left = any(len(l) > len(r) for l, r in parts.values())
-    committed_right = any(len(r) > len(l) for l, r in parts.values())
+    sides = [parts[lab] for lab in sorted(parts)]
+    drops = _drop_left([len(l) for l, _ in sides], [len(r) for _, r in sides])
     removed: set[int] = set()
-    for lab in present:
-        l, r = parts[lab]
-        if len(l) > len(r):
-            removed.update(r)
-        elif len(r) > len(l):
-            removed.update(l)
-        elif not committed_left:
-            removed.update(r)
-            committed_left = True
-        elif not committed_right:
-            removed.update(l)
-            committed_right = True
-        else:
-            removed.update(r)
+    for (l, r), drop in zip(sides, drops):
+        removed.update(l if drop else r)
     return removed
 
 
 def _best_cut(
     pts: Sequence[Point], labels: Sequence[int], active: Sequence[int]
 ) -> tuple[Cut, set[int]]:
-    present = {labels[i] for i in active}
+    """Cheapest canonical cut of the active points and its removal set.
+
+    Ties go to the least key (removal count, dim, θ). One stable sort per
+    dimension; the sweep then walks runs of equal coordinates, keeps
+    per-cluster left/right counts and prices each threshold in O(k), so a node
+    costs O(d·n log n + d·n·k). θ is the coordinate of the run's first
+    active point, which keeps the sign of a zero. Cuts come in key order,
+    so the scan stops at the first one that removes nothing. Only the
+    winner's removal set is built.
+    """
+    present = sorted({labels[i] for i in active})
     if len(present) < 2:
         raise ValueError("best cut needs at least two nonempty clusters")
-    d = len(pts[0])
-    best: tuple[int, int, float, Cut, set[int]] | None = None
-    for dim in range(1, d + 1):
-        for theta in sorted({pts[i][dim - 1] for i in active}):
-            removed = _cut_removal(pts, labels, active, dim, theta)
-            key = (len(removed), dim, theta)
-            if best is None or key < best[:3]:
-                best = (len(removed), dim, theta, Cut(dim, theta), removed)
+    slot = {lab: j for j, lab in enumerate(present)}
+    total = [0] * len(present)
+    for i in active:
+        total[slot[labels[i]]] += 1
+    best: tuple[int, int, float] | None = None
+    for dim in range(1, len(pts[0]) + 1):
+        order = sorted(active, key=lambda i: pts[i][dim - 1])
+        left = [0] * len(present)
+        right = total[:]
+        pos = 0
+        while pos < len(order):
+            theta = pts[order[pos]][dim - 1]
+            while pos < len(order) and pts[order[pos]][dim - 1] == theta:
+                j = slot[labels[order[pos]]]
+                left[j] += 1
+                right[j] -= 1
+                pos += 1
+            drops = _drop_left(left, right)
+            count = sum(l if drop else r for l, r, drop in zip(left, right, drops))
+            key = (count, dim, theta)
+            if best is None or key < best:
+                best = key
+            if count == 0:
+                break
+        if best[0] == 0:
+            break
     assert best is not None
-    return best[3], best[4]
+    _, dim, theta = best
+    return Cut(dim, theta), _cut_removal(pts, labels, active, dim, theta)
 
 
 def _greedy(
@@ -155,7 +187,10 @@ def _greedy(
 
 
 def best_cut(cl: Clustering, active: set[int]) -> tuple[Cut, set[int]]:
-    """Cheapest canonical cut over the active points, with its removal set."""
+    """Cheapest canonical cut over the active points, with its removal set.
+
+    Ties go to the least (removal count, dim, θ); O(d·n log n + d·n·k) for
+    n active points and k clusters among them."""
     return _best_cut(cl.ds.points, cl.labels, sorted(active))
 
 
@@ -164,8 +199,22 @@ def greedy_explain(cl: Clustering) -> ExplanationResult:
     return ExplanationResult(frozenset(removed), ThresholdTree(root))
 
 
+def _explainable(pts: Sequence[Point], labels: Sequence[int], active: Sequence[int]) -> bool:
+    if len({labels[i] for i in active}) <= 1:
+        return True
+    cut, removed = _best_cut(pts, labels, active)
+    if removed:
+        return False
+    left = [i for i in active if pts[i][cut.dim - 1] <= cut.theta]
+    right = [i for i in active if pts[i][cut.dim - 1] > cut.theta]
+    return _explainable(pts, labels, left) and _explainable(pts, labels, right)
+
+
 def check_explainable(cl: Clustering) -> bool:
-    return greedy_explain(cl).removed_count == 0
+    """Whether the greedy repair removes nothing, found by walking its
+    recursion and stopping at the first node whose best cut removes a point
+    (greedy removes nothing iff no node's best cut does)."""
+    return _explainable(cl.ds.points, cl.labels, list(range(cl.ds.n)))
 
 
 class _ExactSolver:
@@ -182,7 +231,7 @@ class _ExactSolver:
         self.k = cl.k
         self.budget = budget
         self.full = (1 << cl.ds.n) - 1
-        _, self.prefix = _prefix_masks(cl.ds.points)
+        self.prefix = _prefix_masks(cl.ds.points)
         self.cmask = [0] * (self.k + 1)  # cmask[0] stays empty
         for pid, lab in enumerate(cl.labels):
             self.cmask[lab] |= 1 << pid

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 
 import pytest
@@ -13,7 +15,9 @@ from treeclust import (
     greedy_explain,
     kernelize,
     opt_explain,
+    tree_to_json_obj,
 )
+from treeclust.explanation import _cut_removal
 from helpers import (
     mixed_instance,
     random_clustering,
@@ -83,6 +87,111 @@ class TestBestCut:
             best_cut(cl, {0, 1})
 
 
+def signed_tie_instance(rng: random.Random, n: int, d: int, k: int, hi: int) -> Clustering:
+    """Points on {-hi..hi}^d, zeros of either sign, about a third of them
+    copies, with shuffled round-robin labels."""
+    base = [tuple(rng.choice((1.0, -1.0)) * rng.randint(0, hi) for _ in range(d))
+            for _ in range(n - n // 3)]
+    pts = base + [rng.choice(base) for _ in range(n // 3)]
+    labels = [(i % k) + 1 for i in range(n)]
+    rng.shuffle(labels)
+    return Clustering(Dataset(tuple(pts)), tuple(labels), k)
+
+
+def cut_case(cl: Clustering, active: list[int], dim: int, theta: float) -> str:
+    """Majority case of a cut over the active points, as _cut_removal sees it."""
+    counts: dict[int, list[int]] = {}
+    for i in active:
+        counts.setdefault(cl.labels[i], [0, 0])[cl.ds.points[i][dim - 1] > theta] += 1
+    if all(l > r for l, r in counts.values()):
+        last = theta == max(cl.ds.points[i][dim - 1] for i in active)
+        return "all-left, last threshold" if last else "all-left"
+    if all(r > l for l, r in counts.values()):
+        return "all-right"
+    return "mixed, balanced" if any(l == r for l, r in counts.values()) else "mixed"
+
+
+class TestBestCutSweep:
+    def test_matches_quadratic_scan(self):
+        # the old scan: price every distinct coordinate with _cut_removal,
+        # keep the least (count, dim, theta); theta from a set of member
+        # values keeps the first member's zero sign
+        rng = random.Random(41)
+        seen: set[str] = set()
+        for _ in range(200):
+            n, d, k = rng.randint(2, 30), rng.randint(1, 3), rng.randint(2, 5)
+            cl = signed_tie_instance(rng, n, d, min(k, n), rng.choice((1, 2, 4)))
+            active = sorted(rng.sample(range(n), rng.randint(2, n)))
+            if len({cl.labels[i] for i in active}) < 2:
+                continue
+            pts = cl.ds.points
+            want = min(
+                (len(_cut_removal(pts, cl.labels, active, dim, theta)), dim, theta)
+                for dim in range(1, d + 1)
+                for theta in sorted({pts[i][dim - 1] for i in active})
+            )
+            cut, removed = best_cut(cl, set(active))
+            assert (len(removed), cut.dim, cut.theta) == want
+            assert math.copysign(1.0, cut.theta) == math.copysign(1.0, want[2])
+            assert removed == _cut_removal(pts, cl.labels, active, cut.dim, cut.theta)
+            seen.add(cut_case(cl, active, cut.dim, cut.theta))
+        assert seen == {"all-left", "all-left, last threshold", "all-right", "mixed",
+                        "mixed, balanced"}
+
+
+def greedy_tie_instance(seed: int) -> Clustering:
+    """Fourteen points in {0, 1, 2}^3 with zeros of either sign, five of them
+    copies, k from 3 to 5."""
+    rng = random.Random(seed)
+    k = rng.randint(3, 5)
+    base = [tuple(rng.choice((-0.0, 0.0, 1.0, 2.0)) for _ in range(3)) for _ in range(9)]
+    pts = base + [rng.choice(base) for _ in range(5)]
+    labels = [(i % k) + 1 for i in range(len(pts))]
+    rng.shuffle(labels)
+    return Clustering(Dataset(tuple(pts)), tuple(labels), k)
+
+
+class TestGreedyGolden:
+    """Pins the greedy's removal set and tree where several cuts tie on the
+    removal count: the least (count, dim, theta) wins, and theta keeps the
+    zero sign of its first active point. Letting an equal count replace the
+    incumbent changes every one of them."""
+
+    EXPECTED = {
+        1: ({1, 4, 8, 10, 12, 13},
+            '{"dim": 1, "theta": -0.0, "left": {"dim": 2, "theta": -0.0, "left": {"leaf": 2},'
+            ' "right": {"leaf": 3}}, "right": {"leaf": 1}}'),
+        5: ({2, 3, 4, 12},
+            '{"dim": 1, "theta": 1.0, "left": {"dim": 1, "theta": 0.0, "left": {"dim": 3,'
+            ' "theta": -0.0, "left": {"leaf": 3}, "right": {"dim": 2, "theta": 0.0, "left":'
+            ' {"leaf": 5}, "right": {"leaf": 1}}}, "right": {"leaf": 2}}, "right": {"leaf": 4}}'),
+        6: ({1, 3, 5, 8, 9},
+            '{"dim": 1, "theta": -0.0, "left": {"dim": 2, "theta": -0.0, "left": {"leaf": 5},'
+            ' "right": {"dim": 3, "theta": -0.0, "left": {"leaf": 3}, "right": {"leaf": 4}}},'
+            ' "right": {"dim": 1, "theta": 1.0, "left": {"leaf": 1}, "right": {"leaf": 2}}}'),
+        11: ({0, 1, 3, 5, 6, 7, 8, 11, 13},
+             '{"dim": 1, "theta": -0.0, "left": {"leaf": 1}, "right": {"leaf": 2}}'),
+        18: ({5, 6, 7, 8, 9, 11, 12},
+             '{"dim": 1, "theta": 1.0, "left": {"dim": 3, "theta": -0.0, "left": {"leaf": 3},'
+             ' "right": {"leaf": 1}}, "right": {"leaf": 2}}'),
+        25: ({2, 5, 8, 9, 11, 13},
+             '{"dim": 2, "theta": 1.0, "left": {"dim": 1, "theta": -0.0, "left": {"dim": 3,'
+             ' "theta": 1.0, "left": {"leaf": 2}, "right": {"leaf": 4}}, "right": {"leaf": 1}},'
+             ' "right": {"leaf": 3}}'),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(EXPECTED))
+    def test_removal_set_and_tree(self, seed):
+        removed, tree = self.EXPECTED[seed]
+        cl = greedy_tie_instance(seed)
+        res = greedy_explain(cl)
+        assert set(res.removed) == removed
+        # the JSON text, not the decoded dict, so that -0.0 != 0.0
+        assert json.dumps(tree_to_json_obj(res.tree)["tree"]) == tree
+        assert survivors_match(cl, res)
+        assert not check_explainable(cl)
+
+
 class TestGreedyAndCheck:
     def test_explainable_input_removes_nothing(self):
         cl = separated_instance()
@@ -112,6 +221,31 @@ class TestGreedyAndCheck:
                 continue
             found += 1
             assert check_explainable(cl)
+
+    def test_check_matches_oracle(self):
+        # brute_explanation takes k <= 3; the exact DP, checked against it
+        # elsewhere, answers for k = 4
+        rng = random.Random(42)
+        answers = set()
+        for _ in range(120):
+            k = rng.randint(1, 4)
+            cl = mixed_instance(rng, rng.randint(max(k, 2), 10), rng.randint(1, 3), k)
+            want = (brute_explanation(cl, 0) if k <= 3 else exact_explain(cl, 0)) is not None
+            assert check_explainable(cl) == want
+            answers.add(want)
+        assert answers == {True, False}
+
+    def test_check_matches_full_repair(self):
+        # the early stop answers as the whole repair does, up to n = 200
+        rng = random.Random(43)
+        answers = set()
+        for _ in range(40):
+            k, hi = rng.randint(2, 5), rng.choice((3, 9, 30))
+            cl = mixed_instance(rng, rng.randint(k, 200), rng.randint(1, 3), k, hi=hi)
+            want = greedy_explain(cl).removed_count == 0
+            assert check_explainable(cl) == want
+            answers.add(want)
+        assert answers == {True, False}
 
     def test_greedy_bound_against_opt(self):
         rng = random.Random(22)
