@@ -1,11 +1,17 @@
 """Command-line interface.
 
 Subcommands: check, explain, kernel, fit, baseline, gen (plus a hidden
-oracle command for debugging). JSON reports go to stdout, diagnostics to
-stderr. Exit codes: 0 success / positive answer, 1 well-formed but
-negative or infeasible answer, 2 usage or input error, 3 internal failure
-(a failed self-check, RecursionError or MemoryError; stderr reads
-"error: internal: <Type>: <message>").
+oracle command for debugging). Every subcommand writes one JSON report to
+stdout with the keys command, input (the input's size and the
+parameters), solver, result, wall_time_s (solve time only, without
+parsing or output; for gen, generating and writing the file), guardrails
+(--force and the exact solvers' size limits) and, when there is one,
+tree. explain and fit with --format dot write the tree's DOT drawing
+instead, and each leaf's size counts only the kept points routed to it.
+Diagnostics go to stderr. Exit codes: 0 success / positive answer, 1
+well-formed but negative or infeasible answer, 2 usage or input error, 3
+internal failure (a failed self-check, RecursionError or MemoryError;
+stderr reads "error: internal: <Type>: <message>").
 """
 from __future__ import annotations
 
@@ -38,7 +44,7 @@ from .explanation import (
 from .generate import gen_separated, gen_uniform, gen_xor
 from .oracle import brute_explainable, brute_explanation, brute_unconstrained
 from .serialize import tree_to_dot, tree_to_json_obj
-from .tree import tree_evaluate
+from .tree import ThresholdTree, tree_evaluate
 
 DEFAULT_LABEL_COL = "cluster"
 
@@ -110,36 +116,62 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> Non
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _guardrails(force: bool) -> dict:
+def _input(args, ds: Dataset, **params) -> dict:
+    return {"path": args.input, "n": ds.n, "d": ds.d, **params}
+
+
+def _kept(tree: ThresholdTree, ds: Dataset, removed: frozenset[int]) -> dict:
+    """Label -> ids of the kept points routed to that leaf."""
     return {
-        "force": force,
-        "limits": {
-            "exact_explain": {"n": EXACT_MAX_N, "d": EXACT_MAX_D},
-            "solve_branching": {"k": BRANCH_MAX_K},
-            "solve_dp": {"n": DP_MAX_N, "d": DP_MAX_D},
-        },
+        lab: tuple(i for i in ids if i not in removed)
+        for lab, ids in tree_evaluate(tree, ds).items()
     }
 
 
-def _emit(report: dict) -> None:
+def _report(
+    args, inp: dict, solver: str, result: dict, elapsed: float, *,
+    tree: ThresholdTree | None = None, clusters: dict | None = None, code: int = 0,
+) -> int:
+    """Write the command's report to stdout and return its exit code.
+
+    With ``--format dot`` and a tree, the report is the tree's DOT drawing,
+    each leaf sized by its kept points in ``clusters``; otherwise it is the
+    JSON report every subcommand shares.
+    """
+    if tree is not None and getattr(args, "format", "json") == "dot":
+        sys.stdout.write(tree_to_dot(tree, {lab: len(ids) for lab, ids in clusters.items()}))
+        return code
+    report = {
+        "command": args.cmd,
+        "input": inp,
+        "solver": solver,
+        "result": result,
+        "wall_time_s": elapsed,
+        "guardrails": {
+            "force": getattr(args, "force", False),
+            "limits": {
+                "exact_explain": {"n": EXACT_MAX_N, "d": EXACT_MAX_D},
+                "solve_branching": {"k": BRANCH_MAX_K},
+                "solve_dp": {"n": DP_MAX_N, "d": DP_MAX_D},
+            },
+        },
+    }
+    if tree is not None:
+        report["tree"] = tree_to_json_obj(tree)
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
+    return code
 
 
 def cmd_check(args) -> int:
     cl = read_clustering(args.input, args.label_col)
     t0 = time.perf_counter()
     ok = check_explainable(cl)
-    report = {
-        "command": "check",
-        "input": {"path": args.input, "n": cl.ds.n, "d": cl.ds.d, "k": cl.k},
-        "solver": "greedy",
-        "result": {"explainable": ok},
-        "wall_time_s": time.perf_counter() - t0,
-        "guardrails": _guardrails(False),
-    }
-    _emit(report)
-    return 0 if ok else 1
+    elapsed = time.perf_counter() - t0
+    return _report(
+        args, _input(args, cl.ds, k=cl.k), "greedy", {"explainable": ok}, elapsed,
+        code=0 if ok else 1,
+    )
 
 
 def cmd_explain(args) -> int:
@@ -147,7 +179,6 @@ def cmd_explain(args) -> int:
     t0 = time.perf_counter()
     if args.method == "greedy":
         res = greedy_explain(cl)
-        feasible = True
     else:
         if args.budget is None:
             raise InputError("--method exact requires --budget")
@@ -157,39 +188,19 @@ def cmd_explain(args) -> int:
             raise InputError(
                 f"{exc}; try --method greedy, kernel first, or --force"
             ) from exc
-        feasible = res is not None
     elapsed = time.perf_counter() - t0
-    report = {
-        "command": "explain",
-        "input": {
-            "path": args.input,
-            "n": cl.ds.n,
-            "d": cl.ds.d,
-            "k": cl.k,
-            "s": args.budget,
-        },
-        "solver": args.method,
-        "wall_time_s": elapsed,
-        "guardrails": _guardrails(args.force),
+    inp = _input(args, cl.ds, k=cl.k, s=args.budget)
+    if res is None:
+        return _report(args, inp, args.method, {"feasible": False}, elapsed, code=1)
+    result = {
+        "feasible": True,
+        "removed": sorted(res.removed),
+        "removed_count": res.removed_count,
     }
-    if feasible:
-        report["result"] = {
-            "feasible": True,
-            "removed": sorted(res.removed),
-            "removed_count": res.removed_count,
-        }
-        report["tree"] = tree_to_json_obj(res.tree)
-        if args.format == "dot":
-            sizes = {
-                lab: len(ids) for lab, ids in tree_evaluate(res.tree, cl.ds).items()
-            }
-            sys.stdout.write(tree_to_dot(res.tree, sizes))
-        else:
-            _emit(report)
-        return 0
-    report["result"] = {"feasible": False}
-    _emit(report)
-    return 1
+    return _report(
+        args, inp, args.method, result, elapsed,
+        tree=res.tree, clusters=_kept(res.tree, cl.ds, res.removed),
+    )
 
 
 def cmd_kernel(args) -> int:
@@ -210,108 +221,57 @@ def cmd_kernel(args) -> int:
             fh.write("\n")
     except OSError as exc:
         raise InputError(f"cannot write {mapping_path}: {exc}") from exc
-    report = {
-        "command": "kernel",
-        "input": {
-            "path": args.input,
-            "n": cl.ds.n,
-            "d": cl.ds.d,
-            "k": cl.k,
-            "s": args.budget,
-        },
-        "solver": "kernelize",
-        "result": {
-            "original_size": cl.ds.n,
-            "kernel_size": kernel.ds.n,
-            "bound": 2 * (args.budget + 1) * cl.ds.d * cl.k,
-            "kernel_csv": args.output,
-            "mapping_json": mapping_path,
-        },
-        "wall_time_s": elapsed,
-        "guardrails": _guardrails(False),
+    result = {
+        "original_size": cl.ds.n,
+        "kernel_size": kernel.ds.n,
+        "bound": 2 * (args.budget + 1) * cl.ds.d * cl.k,
+        "kernel_csv": args.output,
+        "mapping_json": mapping_path,
     }
-    _emit(report)
-    return 0
+    return _report(
+        args, _input(args, cl.ds, k=cl.k, s=args.budget), "kernelize", result, elapsed
+    )
 
 
 def cmd_fit(args) -> int:
     ds, _ = read_dataset(args.input, args.label_col, require_labels=False)
     kind = CostKind(args.cost)
-    if not 1 <= args.k <= ds.n:
-        raise InputError(f"k must be in 1..{ds.n}")
     t0 = time.perf_counter()
     extra: dict = {}
-    try:
-        if args.method == "branch":
-            res = solve_branching(ds, args.k, kind, force=args.force)
-        elif args.method == "dp":
-            res = solve_dp(ds, args.k, kind, force=args.force)
-        else:
-            if args.epsilon is None:
-                raise InputError("--method approx requires --epsilon")
-            ares = solve_approx(ds, args.k, kind, args.epsilon, force=args.force)
-            if len(ares.removed) > args.epsilon * ds.n:
-                raise AssertionError("approx removal bound violated")
-            extra = {
-                "kept": sorted(ares.kept),
-                "removed": sorted(ares.removed),
-                "epsilon": ares.epsilon,
-                "rank_grid": [list(ts) for ts in ares.rank_grid],
-            }
-            clusters = tree_evaluate(ares.tree, ds)
-            kept = ares.kept
-            clusters = {
-                lab: tuple(i for i in ids if i in kept) for lab, ids in clusters.items()
-            }
-            res = None
-            tree, cost = ares.tree, ares.cost
-    except LimitExceededError as exc:
-        raise InputError(f"{exc}") from exc
-    if res is not None:
-        tree, cost = res.tree, res.cost
+    if args.method == "approx":
+        if args.epsilon is None:
+            raise InputError("--method approx requires --epsilon")
+        res = solve_approx(ds, args.k, kind, args.epsilon, force=args.force)
+        if len(res.removed) > args.epsilon * ds.n:
+            raise AssertionError("approx removal bound violated")
+        clusters = _kept(res.tree, ds, res.removed)
+        extra = {
+            "kept": sorted(res.kept),
+            "removed": sorted(res.removed),
+            "epsilon": res.epsilon,
+            "rank_grid": [list(ts) for ts in res.rank_grid],
+        }
+    else:
+        solve = solve_branching if args.method == "branch" else solve_dp
+        res = solve(ds, args.k, kind, force=args.force)
         clusters = res.clusters
     elapsed = time.perf_counter() - t0
-    report = {
-        "command": "fit",
-        "input": {
-            "path": args.input,
-            "n": ds.n,
-            "d": ds.d,
-            "k": args.k,
-            "cost": args.cost,
-        },
-        "solver": args.method,
-        "result": {
-            "cost": cost,
-            "clusters": {str(lab): list(ids) for lab, ids in clusters.items()},
-            **extra,
-        },
-        "wall_time_s": elapsed,
-        "guardrails": _guardrails(args.force),
-        "tree": tree_to_json_obj(tree),
+    result = {
+        "cost": res.cost,
+        "clusters": {str(lab): list(ids) for lab, ids in clusters.items()},
+        **extra,
     }
-    if args.format == "dot":
-        sizes = {lab: len(ids) for lab, ids in clusters.items()}
-        sys.stdout.write(tree_to_dot(tree, sizes))
-    else:
-        _emit(report)
-    return 0
+    return _report(
+        args, _input(args, ds, k=args.k, cost=args.cost), args.method, result, elapsed,
+        tree=res.tree, clusters=clusters,
+    )
 
 
 def cmd_baseline(args) -> int:
     ds, _ = read_dataset(args.input, args.label_col, require_labels=False)
-    kind = CostKind(args.cost)
-    if not 1 <= args.k <= ds.n:
-        raise InputError(f"k must be in 1..{ds.n}")
     t0 = time.perf_counter()
-    res = lloyd_baseline(ds, args.k, kind, args.seed, args.iters)
+    res = lloyd_baseline(ds, args.k, CostKind(args.cost), args.seed, args.iters)
     elapsed = time.perf_counter() - t0
-    if args.explainable_cost is None:
-        ratio = None
-    elif res.cost == 0.0:
-        ratio = "n/a"
-    else:
-        ratio = args.explainable_cost / res.cost
     result = {
         "cost": res.cost,
         "labels": list(res.labels),
@@ -319,28 +279,13 @@ def cmd_baseline(args) -> int:
     }
     if args.explainable_cost is not None:
         result["explainable_cost"] = args.explainable_cost
-        result["ratio"] = ratio
-    report = {
-        "command": "baseline",
-        "input": {
-            "path": args.input,
-            "n": ds.n,
-            "d": ds.d,
-            "k": args.k,
-            "cost": args.cost,
-            "seed": args.seed,
-            "iters": args.iters,
-        },
-        "solver": "lloyd",
-        "result": result,
-        "wall_time_s": elapsed,
-        "guardrails": _guardrails(False),
-    }
-    _emit(report)
-    return 0
+        result["ratio"] = "n/a" if res.cost == 0.0 else args.explainable_cost / res.cost
+    inp = _input(args, ds, k=args.k, cost=args.cost, seed=args.seed, iters=args.iters)
+    return _report(args, inp, "lloyd", result, elapsed)
 
 
 def cmd_gen(args) -> int:
+    t0 = time.perf_counter()
     if args.shape == "separated":
         cl = gen_separated(args.k, args.per_cluster, args.dim, args.separation, args.seed)
     elif args.shape == "xor":
@@ -354,56 +299,43 @@ def cmd_gen(args) -> int:
         [repr(c) for c in p] + [lab] for p, lab in zip(cl.ds.points, cl.labels)
     ]
     write_csv(args.output, header, rows)
-    report = {
-        "command": "gen",
-        "input": {
-            "shape": args.shape,
-            "k": cl.k,
-            "per_cluster": args.per_cluster,
-            "dim": args.dim,
-            "separation": args.separation,
-            "seed": args.seed,
-        },
-        "solver": "generator",
-        "result": {"output": args.output, "n": cl.ds.n, "d": cl.ds.d},
-        "wall_time_s": 0.0,
-        "guardrails": _guardrails(False),
+    elapsed = time.perf_counter() - t0
+    inp = {
+        "shape": args.shape,
+        "k": cl.k,
+        "per_cluster": args.per_cluster,
+        "dim": args.dim,
+        "separation": args.separation,
+        "seed": args.seed,
     }
-    _emit(report)
-    return 0
+    result = {"output": args.output, "n": cl.ds.n, "d": cl.ds.d}
+    return _report(args, inp, "generator", result, elapsed)
 
 
 def cmd_oracle(args) -> int:
-    if args.which == "explainable":
-        ds, _ = read_dataset(args.input, args.label_col, require_labels=False)
-        res = brute_explainable(ds, args.k, CostKind(args.cost))
-        _emit(
-            {
-                "command": "oracle",
-                "result": {"cost": res.cost},
-                "tree": tree_to_json_obj(res.tree),
-            }
-        )
-        return 0
+    solver = f"brute_{args.which}"
     if args.which == "explanation":
         cl = read_clustering(args.input, args.label_col)
+        t0 = time.perf_counter()
         out = brute_explanation(cl, args.budget)
+        elapsed = time.perf_counter() - t0
+        inp = _input(args, cl.ds, k=cl.k, s=args.budget)
         if out is None:
-            _emit({"command": "oracle", "result": {"feasible": False}})
-            return 1
+            return _report(args, inp, solver, {"feasible": False}, elapsed, code=1)
         removed, tree = out
-        _emit(
-            {
-                "command": "oracle",
-                "result": {"feasible": True, "removed": sorted(removed)},
-                "tree": tree_to_json_obj(tree),
-            }
-        )
-        return 0
+        result = {"feasible": True, "removed": sorted(removed)}
+        return _report(args, inp, solver, result, elapsed, tree=tree)
     ds, _ = read_dataset(args.input, args.label_col, require_labels=False)
-    cost = brute_unconstrained(ds, args.k, CostKind(args.cost))
-    _emit({"command": "oracle", "result": {"cost": cost}})
-    return 0
+    kind = CostKind(args.cost)
+    t0 = time.perf_counter()
+    if args.which == "explainable":
+        res = brute_explainable(ds, args.k, kind)
+        cost, tree = res.cost, res.tree
+    else:
+        cost, tree = brute_unconstrained(ds, args.k, kind), None
+    elapsed = time.perf_counter() - t0
+    inp = _input(args, ds, k=args.k, cost=args.cost)
+    return _report(args, inp, solver, {"cost": cost}, elapsed, tree=tree)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,8 +418,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        return 2 if exc.code not in (0,) else 0
+        return 0 if exc.code == 0 else 2
     try:
         return args.func(args)
     except (ValueError, LimitExceededError, OSError) as exc:

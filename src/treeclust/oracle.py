@@ -17,6 +17,7 @@ from .tree import (
     ThresholdTree,
     TreeNode,
     enumerate_shapes,
+    tree_from_shape,
 )
 from .explainable import ExplainableResult
 
@@ -31,19 +32,6 @@ def _leaves_of(node: TreeNode, ids: list[int], pts: Sequence[Point]) -> list[lis
     left = [i for i in ids if pts[i][node.cut.dim - 1] <= node.cut.theta]
     right = [i for i in ids if pts[i][node.cut.dim - 1] > node.cut.theta]
     return _leaves_of(node.left, left, pts) + _leaves_of(node.right, right, pts)
-
-
-def _fill_shape(shape, cuts: list[Cut], labels: list[int]) -> TreeNode:
-    ci = iter(cuts)
-    li = iter(labels)
-
-    def build(s) -> TreeNode:
-        if s == ():
-            return Leaf(next(li))
-        c = next(ci)
-        return Internal(c, build(s[0]), build(s[1]))
-
-    return build(shape)
 
 
 def brute_explainable(ds: Dataset, k: int, kind: CostKind) -> ExplainableResult:
@@ -62,13 +50,13 @@ def brute_explainable(ds: Dataset, k: int, kind: CostKind) -> ExplainableResult:
     all_ids = list(range(ds.n))
     for shape in enumerate_shapes(k):
         for cuts in itertools.product(cut_options, repeat=k - 1):
-            node = _fill_shape(shape, list(cuts), list(range(1, k + 1)))
-            leaves = _leaves_of(node, all_ids, pts)
+            tree = tree_from_shape(shape, cuts, range(1, k + 1))
+            leaves = _leaves_of(tree.root, all_ids, pts)
             if any(not leaf for leaf in leaves):
                 continue
             cost = sum(cluster_cost([pts[i] for i in leaf], kind) for leaf in leaves)
             if best is None or cost < best[0]:
-                best = (cost, ThresholdTree(node))
+                best = (cost, tree)
     if best is None:
         raise ValueError("no explainable k-clustering exists for this input")
     cost, tree = best

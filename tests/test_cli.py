@@ -1,10 +1,13 @@
-"""End-to-end CLI tests via subprocess (exit-code contract and JSON output)."""
+"""End-to-end CLI tests: the exit-code contract, the JSON and DOT reports,
+the files each subcommand writes, and the package's public names."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import treeclust
 from treeclust import cli
 
 SEP_CSV = "x1,x2,cluster\n0,0,1\n1,1,1\n10,0,2\n11,1,2\n"
@@ -212,3 +215,153 @@ class TestGen:
                 "--dim", "2", "--seed", "42", "--output", str(out),
             )
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestDotSizes:
+    def test_explain_dot_counts_kept_points(self, tmp_path, capsys):
+        # greedy removes 5 of these 15 uniform points
+        inst = str(tmp_path / "u15.csv")
+        gen = ["gen", "--shape", "uniform", "--k", "3", "--per-cluster", "5",
+               "--dim", "2", "--seed", "0", "--output", inst]
+        assert cli.main(gen) == 0
+        capsys.readouterr()
+        assert cli.main(["explain", inst]) == 0
+        removed = json.loads(capsys.readouterr().out)["result"]["removed_count"]
+        assert removed == 5
+        assert cli.main(["explain", inst, "--format", "dot"]) == 0
+        dot = capsys.readouterr().out
+        sizes = [int(part.split('"')[0]) for part in dot.split("size=")[1:]]
+        assert len(sizes) == 3
+        assert sum(sizes) == 15 - removed
+
+
+def test_gen_reports_measured_time(tmp_path, capsys):
+    argv = ["gen", "--shape", "separated", "--k", "2", "--per-cluster", "3",
+            "--dim", "2", "--output", str(tmp_path / "g.csv")]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["wall_time_s"] > 0.0
+
+
+# Golden reports: every subcommand and variant run in process on small
+# fixed inputs. The expected exit code, stdout (JSON parsed, without the
+# run-dependent wall_time_s; DOT as text), stderr and written files are in
+# cli_golden.json.
+LABELED_CSV = (
+    "x1,x2,cluster\n4,2,2\n5,2,1\n5,5,3\n5,4,3\n0,3,2\n"
+    "1,5,2\n0,1,1\n0,2,1\n3,1,2\n3,4,3\n"
+)  # greedy removes 3 points, the optimum 2
+PTS_CSV = "x1,x2\n0,0\n1,0\n0,1\n5,5\n6,5\n5,7\n9,0\n9,1\n"
+LINE31_CSV = "x1,cluster\n" + "".join(f"{i},{1 if i < 15 else 2}\n" for i in range(31))
+GOLDEN_INPUTS = {
+    "sep.csv": SEP_CSV,
+    "xor.csv": XOR_CSV,
+    "labeled.csv": LABELED_CSV,
+    "pts.csv": PTS_CSV,
+    "line31.csv": LINE31_CSV,
+}
+GOLDEN_CASES = {
+    "check-yes": ["check", "sep.csv"],
+    "check-no": ["check", "xor.csv"],
+    "explain-greedy": ["explain", "labeled.csv"],
+    "explain-greedy-dot": ["explain", "labeled.csv", "--format", "dot"],
+    "explain-exact": ["explain", "labeled.csv", "--method", "exact", "--budget", "2"],
+    "explain-exact-dot": ["explain", "labeled.csv", "--method", "exact", "--budget", "2",
+                          "--format", "dot"],
+    "explain-exact-infeasible": ["explain", "labeled.csv", "--method", "exact",
+                                 "--budget", "1"],
+    "explain-exact-infeasible-dot": ["explain", "xor.csv", "--method", "exact",
+                                     "--budget", "0", "--format", "dot"],
+    "explain-exact-no-budget": ["explain", "xor.csv", "--method", "exact"],
+    "explain-exact-refused": ["explain", "line31.csv", "--method", "exact", "--budget", "1"],
+    "explain-exact-forced": ["explain", "line31.csv", "--method", "exact", "--budget", "1",
+                             "--force"],
+    "kernel": ["kernel", "line31.csv", "--budget", "0", "--output", "kern.csv"],
+    "kernel-mapping": ["kernel", "labeled.csv", "--budget", "1", "--output", "kern.csv",
+                       "--mapping", "map.json"],
+    "fit-dp": ["fit", "pts.csv", "--k", "3", "--method", "dp"],
+    "fit-dp-dot": ["fit", "pts.csv", "--k", "3", "--format", "dot"],
+    "fit-branch-medians": ["fit", "pts.csv", "--k", "3", "--method", "branch",
+                           "--cost", "medians"],
+    "fit-approx": ["fit", "pts.csv", "--k", "2", "--method", "approx", "--epsilon", "0.5"],
+    "fit-approx-dot": ["fit", "pts.csv", "--k", "2", "--method", "approx", "--epsilon", "0.5",
+                       "--format", "dot"],
+    "fit-approx-exact": ["fit", "pts.csv", "--k", "2", "--method", "approx",
+                         "--epsilon", "0.2"],
+    "fit-approx-no-epsilon": ["fit", "pts.csv", "--k", "2", "--method", "approx"],
+    "fit-k-out-of-range": ["fit", "pts.csv", "--k", "9"],
+    "fit-refused": ["fit", "line31.csv", "--k", "9", "--method", "branch"],
+    "baseline": ["baseline", "pts.csv", "--k", "3", "--seed", "1"],
+    "baseline-ratio": ["baseline", "pts.csv", "--k", "3", "--seed", "1",
+                       "--explainable-cost", "20"],
+    "baseline-k-out-of-range": ["baseline", "pts.csv", "--k", "0"],
+    "gen-separated": ["gen", "--shape", "separated", "--k", "3", "--per-cluster", "3",
+                      "--dim", "2", "--seed", "1", "--output", "gen.csv"],
+    "gen-xor": ["gen", "--shape", "xor", "--k", "2", "--per-cluster", "2", "--dim", "3",
+                "--seed", "1", "--output", "gen.csv"],
+    "gen-uniform": ["gen", "--shape", "uniform", "--k", "2", "--per-cluster", "3",
+                    "--dim", "1", "--seed", "2", "--output", "gen.csv"],
+    "gen-xor-k3": ["gen", "--shape", "xor", "--k", "3", "--per-cluster", "2", "--dim", "2",
+                   "--output", "gen.csv"],
+    "oracle-explainable": ["oracle", "explainable", "pts.csv", "--k", "2"],
+    "oracle-explanation": ["oracle", "explanation", "labeled.csv", "--budget", "2"],
+    "oracle-explanation-infeasible": ["oracle", "explanation", "labeled.csv", "--budget", "1"],
+    "oracle-unconstrained": ["oracle", "unconstrained", "pts.csv", "--k", "3",
+                             "--cost", "medians"],
+}
+
+
+def run_golden_case(argv, workdir: Path, capsys) -> dict:
+    """Run one CLI call in workdir (the current directory) and collect what
+    it produced."""
+    for name, text in GOLDEN_INPUTS.items():
+        (workdir / name).write_text(text)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if out.startswith("{"):
+        out = json.loads(out)
+        assert out.pop("wall_time_s") >= 0.0
+    files = {
+        p.name: p.read_text()
+        for p in sorted(workdir.iterdir())
+        if p.name not in GOLDEN_INPUTS
+    }
+    return {"code": code, "stdout": out, "stderr": err, "files": files}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_CASES))
+def test_golden_report(case, tmp_path, monkeypatch, capsys):
+    golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    assert run_golden_case(GOLDEN_CASES[case], tmp_path, capsys) == golden[case]
+
+
+class TestPublicSurface:
+    def test_all_is_pinned_and_resolves(self):
+        assert sorted(treeclust.__all__) == [
+            "ApproxResult", "Box", "Clustering", "CostKind", "Cut", "Dataset",
+            "ExplainableResult", "ExplanationResult", "Internal", "Leaf",
+            "LimitExceededError", "LloydResult", "Point", "ThresholdTree", "TreeNode",
+            "TreeShape", "best_cut", "box_members", "brute_explainable",
+            "brute_explanation", "brute_unconstrained", "canonical_thresholds",
+            "centroid", "check_explainable", "cluster_cost", "cut_apply",
+            "enumerate_shapes", "exact_explain", "gen_separated", "gen_uniform",
+            "gen_xor", "greedy_explain", "kernelize", "lloyd_baseline", "opt_explain",
+            "shape_leaf_count", "solve_approx", "solve_branching", "solve_dp",
+            "tree_evaluate", "tree_from_json_obj", "tree_from_shape", "tree_to_dot",
+            "tree_to_json_obj", "validate_tree",
+        ]
+        for name in treeclust.__all__:
+            assert getattr(treeclust, name) is not None
+
+    def test_help_exits_zero(self):
+        proc = run_cli("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: treeclust")
+
+    @pytest.mark.parametrize(
+        "argv", [["cluster", "a.csv"], ["fit", "a.csv"]], ids=["unknown-command", "missing-k"]
+    )
+    def test_usage_error_exits_two(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: treeclust")
