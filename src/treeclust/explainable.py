@@ -5,14 +5,22 @@ threshold trees with k nonempty leaves. The two exact solvers,
 solve_branching (recursive branching search) and solve_dp (dynamic
 program over point subsets), run one memoized split search keyed by
 member bitmask and leaf quota, so they return the same tree; they differ
-only in their guard rails. solve_approx is an outlier-tolerant grid
-approximation that may drop up to an epsilon fraction of the points.
+only in their guard rails. A state with two leaves left prices its cuts
+by one sorted sweep per dimension and direction, which yields a certified
+interval for the float cost of every side; only the cuts whose interval
+can reach the least total are priced with cluster_cost, so costs, trees
+and tie-breaks are those of pricing every leaf. solve_approx is an
+outlier-tolerant grid approximation that may drop up to an epsilon
+fraction of the points.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
+from itertools import accumulate, groupby
+from operator import itemgetter
 
 from .core import (
     CostKind,
@@ -40,6 +48,14 @@ DP_MAX_N = 40
 DP_MAX_D = 4
 
 _INF = math.inf
+_U = 2.0**-53
+# spare roundings and absolute underflow slack of a _LeafBounds interval
+_SPARE = 10
+_TINY = 2.0**-1000
+# no cost of coordinates up to this magnitude overflows a float
+_SWEEP_MAX = 2.0**400
+# intervals a split search keeps before it drops them all and sweeps anew
+_KNOWN_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,6 +103,166 @@ def _finish(node: TreeNode, ds: Dataset, cost: float, kind: CostKind) -> Explain
     return ExplainableResult(tree, tree_evaluate(tree, ds), cost, kind)
 
 
+class _LeafBounds:
+    """Certified intervals for the float ``cluster_cost`` of leaf sets, filled
+    by sorted sweeps over one dimension's cuts of a state and kept per search
+    in ``known`` (member mask -> (lo, hi)).
+
+    Every coordinate is scaled by one power of two E into an exact int, so
+    the running sums are exact and a leaf's exact cost C is a ratio of ints,
+    which ``/`` rounds once, correctly. For m members in d dimensions, with
+    u = 2**-53 and gamma(j) = j*u / (1 - j*u), ``cluster_cost`` returns:
+
+    - MEDIANS: a float within gamma(m + d) * C of C. The L1 cost about the
+      lower median of a column is the sum of its top floor(m/2) values minus
+      the sum of its bottom floor(m/2). ``cluster_cost`` takes the median
+      exactly, rounds once in each ``c - med`` and adds the nonnegative
+      terms with m - 1, then d - 1, more roundings.
+    - MEANS: a float in [C (1 - g), (C + D) (1 + g)], g = gamma(m + d + 2),
+      where C = (m * sum x**2 - (sum x)**2) / (m * E**2) summed over
+      dimensions. The rounded mean is off by at most gamma(m) * sum|x| / m,
+      so the exact squares about it add up to at most C + D with
+      D = sum over dimensions of gamma(m)**2 * (sum|x|)**2 / m. Each term
+      then takes one rounding in ``c - mean`` (two once squared), up to one
+      ulp (two roundings) in the C ``pow`` behind ``** 2``, and the m - 1
+      and d - 1 additions.
+
+    Both hold for the compensated float ``sum`` of CPython >= 3.12 too.
+    That sum returns fl(s + c), where s is the recursive sum of the m terms
+    t and c adds up their m - 1 exactly computed step errors, each at most
+    u * sum|t|; so it too stays within gamma(m - 1) * sum|t| of the exact
+    sum, the one property of ``sum`` used above.
+
+    A stored interval widens g by _SPARE roundings (the correctly rounded
+    C, an int column's sum turned float, the interval's own four float
+    operations) and sum|x| by max|x| per member; _TINY covers underflow,
+    which only the products and quotients of MEANS can suffer, by at most
+    2**-1075 each. A cut's total needs no widening: rounding is monotone,
+    so fl(lo_l + lo_r) <= fl(cl + cr) <= fl(hi_l + hi_r).
+    """
+
+    def __init__(self, pts: tuple[Point, ...], kind: CostKind, scale: int,
+                 known: dict[int, tuple[float, float]]):
+        n, d = len(pts), len(pts[0])
+        self.medians = kind is CostKind.MEDIANS
+        self.n = n
+        self.scale = scale
+        self.known = known
+        self.cols = [[_scaled(p[j], scale) for p in pts] for j in range(d)]
+        self.squares = [sum(c * c for c in x) for x in zip(*self.cols)]
+        self.order = [sorted(range(n), key=col.__getitem__) for col in self.cols]
+        # max|x| per dimension, for the rounded mean's shift D of MEANS
+        spread = [] if self.medians else [max(abs(float(p[j])) for p in pts) for j in range(d)]
+        self.lo_f = [0.0] * (n + 1)
+        self.hi_f = [0.0] * (n + 1)
+        self.shift = [0.0] * (n + 1)
+        for m in range(1, n + 1):
+            g = _gamma(m + d + _SPARE)
+            self.lo_f[m] = 1.0 - g
+            self.hi_f[m] = 1.0 + g
+            # D with sum|x| <= m * max|x|, one spare rounding in gamma and
+            # doubled for the rounding of this sum
+            self.shift[m] = 2.0 * sum(m * (_gamma(m + 1) * a + _TINY) ** 2 for a in spread)
+
+    @classmethod
+    def of(cls, pts: tuple[Point, ...], kind: CostKind,
+           known: dict[int, tuple[float, float]]) -> "_LeafBounds | None":
+        """None when a coordinate is not a float, an int beyond 2**53 (which
+        ``cluster_cost`` rounds on use) or beyond _SWEEP_MAX in magnitude."""
+        den = 1
+        for p in pts:
+            for c in p:
+                if isinstance(c, float):
+                    if abs(c) > _SWEEP_MAX:
+                        return None
+                    den = max(den, c.as_integer_ratio()[1])
+                elif not isinstance(c, int) or abs(c) > 2**53:
+                    return None
+        return cls(pts, kind, den, known)
+
+    def sweep(self, mask: int, dim: int, sizes: list[int], sides: list[int],
+              forward: bool) -> None:
+        """Store the interval of every side of one dimension's cuts of the
+        state ``mask``: the left sides when ``forward``, in ascending cut
+        order, else the right sides in descending order. ``sizes`` holds
+        their member counts, which grow along the list."""
+        flags = format(mask, f"0{self.n}b")[::-1]
+        ids = [i for i in self.order[dim - 1] if flags[i] == "1"]
+        if not forward:
+            ids.reverse()
+        if self.medians:
+            nums = [0] * len(sizes)
+            for j, col in enumerate(self.cols):
+                vals = [col[i] for i in ids]
+                if j == dim - 1:
+                    _sorted_l1(vals, sizes, nums, 1 if forward else -1)
+                else:
+                    _running_l1(vals, sizes, nums)
+            costs = [num / self.scale for num in nums]
+        else:
+            total = list(accumulate([self.squares[i] for i in ids], initial=0))
+            nums = [m * total[m] for m in sizes]
+            for col in self.cols:
+                acc = list(accumulate([col[i] for i in ids], initial=0))
+                nums = [num - acc[m] * acc[m] for num, m in zip(nums, sizes)]
+            den = self.scale * self.scale
+            costs = [num / (m * den) for num, m in zip(nums, sizes)]
+        lo_f, hi_f, shift = self.lo_f, self.hi_f, self.shift
+        self.known.update(zip(sides, [
+            (c * lo_f[m] - _TINY, (c + shift[m]) * hi_f[m] + _TINY)
+            for c, m in zip(costs, sizes)
+        ]))
+
+
+def _sorted_l1(vals: list[int], sizes: list[int], nums: list[int], sign: int) -> None:
+    """Add to nums[t] the L1 cost about the median of vals[:sizes[t]], where
+    vals is sorted (descending when sign is -1): the top half's sum minus
+    the bottom half's."""
+    acc = list(accumulate(vals, initial=0))
+    for t, m in enumerate(sizes):
+        h = m >> 1
+        nums[t] += sign * (acc[m] - acc[m - h] - acc[h])
+
+
+def _running_l1(vals: list[int], sizes: list[int], nums: list[int]) -> None:
+    """As _sorted_l1 for vals in any order: a max-heap ``lower`` (negated)
+    keeps the ceil(m/2) smallest values and ``upper`` the rest."""
+    lower: list[int] = []
+    upper: list[int] = []
+    low_sum = up_sum = 0
+    even = True  # len(lower) == len(upper)
+    start = 0
+    for t, m in enumerate(sizes):
+        for v in vals[start:m]:
+            if even:
+                if upper and v > upper[0]:
+                    y = heapreplace(upper, v)
+                    up_sum += v - y
+                    v = y
+                heappush(lower, -v)
+                low_sum += v
+            else:
+                if v < -lower[0]:
+                    y = -heapreplace(lower, -v)
+                    low_sum += v - y
+                    v = y
+                heappush(upper, v)
+                up_sum += v
+            even = not even
+        start = m
+        # with m odd the lower median sits atop `lower`, outside both halves
+        nums[t] += up_sum - low_sum - (lower[0] if m & 1 else 0)
+
+
+def _scaled(c: float, scale: int) -> int:
+    num, den = c.as_integer_ratio()
+    return num * (scale // den)
+
+
+def _gamma(j: int) -> float:
+    return j * _U / (1 - j * _U)
+
+
 def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]:
     """Optimal k-leaf threshold tree by memoized split search.
 
@@ -96,10 +272,52 @@ def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]
     then cuts; it skips a cut whose left optimum already reaches the best
     total, and only a strictly better total replaces the incumbent, so
     ties go to the first cut in that order.
+
+    A state with quota 2 does not price every leaf. Per dimension a forward
+    sweep bounds every left side and a backward sweep every right side
+    (``_LeafBounds``), each only when one of its sides has no interval in
+    the search's map yet. With U the least upper bound of a cut's total,
+    only cuts whose lower bound is at most U are priced with
+    ``cluster_cost``, in the same order and with the same strict ``<``.
+    Every cut whose float total is the minimum has a lower bound at most
+    that minimum, which is at most U, so it is priced; the state returns
+    the same float and the same first minimum as pricing every cut. Data
+    that ``_LeafBounds.of`` refuses is priced leaf by leaf. The map is
+    dropped whenever it holds more than _KNOWN_MAX intervals, which bounds
+    its memory; a dropped side is swept again when a state needs it.
     """
     pts = ds.points
     prefix = _prefix_masks(pts)
     memo: dict[tuple[int, int], tuple[float, TreeNode | None]] = {}
+    known: dict[int, tuple[float, float]] = {}
+    bounds = _LeafBounds.of(pts, kind, known)
+
+    def near_minimal(
+        mask: int, splits: list[tuple[int, int, int, int, int]]
+    ) -> list[tuple[int, int, int, int, int]]:
+        """The cuts of a quota-2 state whose total can reach the least."""
+        if len(known) > _KNOWN_MAX:
+            known.clear()
+        lefts = [known.get(lmask) for _, lmask, _, _, _ in splits]
+        rights = [known.get(rmask) for _, _, rmask, _, _ in splits]
+        if None in lefts or None in rights:
+            size = mask.bit_count()
+            start = 0
+            for dim, run in groupby(splits, key=itemgetter(0)):
+                cuts = list(run)
+                end = start + len(cuts)
+                if None in lefts[start:end]:
+                    bounds.sweep(mask, dim, [nl for _, _, _, nl, _ in cuts],
+                                 [lmask for _, lmask, _, _, _ in cuts], True)
+                if None in rights[start:end]:
+                    cuts.reverse()
+                    bounds.sweep(mask, dim, [size - nl for _, _, _, nl, _ in cuts],
+                                 [rmask for _, _, rmask, _, _ in cuts], False)
+                start = end
+            lefts = [known[lmask] for _, lmask, _, _, _ in splits]
+            rights = [known[rmask] for _, _, rmask, _, _ in splits]
+        cap = min([lb[1] + rb[1] for lb, rb in zip(lefts, rights)], default=_INF)
+        return [sp for sp, lb, rb in zip(splits, lefts, rights) if lb[0] + rb[0] <= cap]
 
     def solve(mask: int, s: int) -> tuple[float, TreeNode | None]:
         hit = memo.get((mask, s))
@@ -109,19 +327,18 @@ def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]
             ans = (cluster_cost([p for i, p in enumerate(pts) if mask >> i & 1], kind), Leaf(0))
             memo[(mask, s)] = ans
             return ans
-        size = mask.bit_count()
-        # theta comes from the lowest new member, as it would from a set of
-        # member values (this keeps the sign of a zero)
         splits = [
-            (dim, pts[(new & -new).bit_length() - 1][dim - 1], lmask, mask ^ lmask,
-             lmask.bit_count())
+            (dim, lmask, mask ^ lmask, lmask.bit_count(), new)
             for dim, lmask, new in _splits(mask, prefix)
         ]
+        if s == 2 and bounds is not None:
+            splits = near_minimal(mask, splits)
+        size = mask.bit_count()
         best = _INF
         best_node: TreeNode | None = None
         for s1 in range(1, s):
             s2 = s - s1
-            for dim, theta, lmask, rmask, nl in splits:
+            for dim, lmask, rmask, nl, new in splits:
                 if nl < s1 or size - nl < s2:
                     continue
                 cl, node_l = solve(lmask, s1)
@@ -131,14 +348,24 @@ def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]
                 total = cl + cr
                 if total < best:
                     best = total
+                    # theta comes from the lowest new member, as it would
+                    # from a set of member values (this keeps the sign of a
+                    # zero)
+                    theta = pts[(new & -new).bit_length() - 1][dim - 1]
                     best_node = Internal(Cut(dim, theta), node_l, node_r)
         memo[(mask, s)] = (best, best_node)
         return best, best_node
 
-    cost, node = solve((1 << ds.n) - 1, k)
-    if node is None:
+    try:
+        cost, root = solve((1 << ds.n) - 1, k)
+    finally:
+        # solve refers to itself, so without this the maps would live until
+        # the next cyclic garbage collection
+        memo.clear()
+        known.clear()
+    if root is None:
         raise ValueError("no explainable k-clustering: too few distinct points")
-    return cost, node
+    return cost, root
 
 
 def solve_branching(

@@ -1,9 +1,19 @@
-"""Shared instance factories for the test suite."""
+"""Shared instance factories and reference solvers for the test suite."""
 from __future__ import annotations
 
 import random
 
-from treeclust import Clustering, Cut, Dataset, Internal, Leaf, ThresholdTree, tree_evaluate
+from treeclust import (
+    Clustering,
+    Cut,
+    Dataset,
+    Internal,
+    Leaf,
+    ThresholdTree,
+    cluster_cost,
+    tree_evaluate,
+)
+from treeclust.core import _prefix_masks, _splits
 
 
 def random_points(rng: random.Random, n: int, d: int, lo: int = 0, hi: int = 5):
@@ -69,3 +79,74 @@ def survivors_match(cl: Clustering, result) -> bool:
     # every surviving cluster must appear as a leaf
     leaf_labels = set(result.tree.leaf_labels())
     return {cl.labels[i] for i in kept} <= leaf_labels
+
+
+def reference_split_search(ds, k: int, kind):
+    """The exact solvers' split search as it was before the two-leaf sweep:
+    every leaf priced with ``cluster_cost``. Kept as the reference that the
+    production search must match bit for bit."""
+    pts = ds.points
+    prefix = _prefix_masks(pts)
+    memo = {}
+
+    def solve(mask, s):
+        hit = memo.get((mask, s))
+        if hit is not None:
+            return hit
+        if s == 1:
+            ans = (cluster_cost([p for i, p in enumerate(pts) if mask >> i & 1], kind), Leaf(0))
+            memo[(mask, s)] = ans
+            return ans
+        size = mask.bit_count()
+        splits = [
+            (dim, pts[(new & -new).bit_length() - 1][dim - 1], lmask, mask ^ lmask,
+             lmask.bit_count())
+            for dim, lmask, new in _splits(mask, prefix)
+        ]
+        best = float("inf")
+        best_node = None
+        for s1 in range(1, s):
+            s2 = s - s1
+            for dim, theta, lmask, rmask, nl in splits:
+                if nl < s1 or size - nl < s2:
+                    continue
+                cl, node_l = solve(lmask, s1)
+                if cl >= best:
+                    continue
+                cr, node_r = solve(rmask, s2)
+                total = cl + cr
+                if total < best:
+                    best = total
+                    best_node = Internal(Cut(dim, theta), node_l, node_r)
+        memo[(mask, s)] = (best, best_node)
+        return best, best_node
+
+    cost, node = solve((1 << ds.n) - 1, k)
+    if node is None:
+        raise ValueError("no explainable k-clustering: too few distinct points")
+    return cost, node
+
+
+def tie_heavy_points(rng: random.Random, n: int, d: int):
+    """Points on a small integer grid, then offset and scaled, with repeated
+    points, signed zeros and, now and then, int coordinates."""
+    hi = rng.choice([1, 2, 3, 5])
+    offset = rng.choice([0.0, 0.0, -3.5, 1e6, 1e-6])
+    scale = rng.choice([1.0, 1.0, 0.1, 3.0, 1e-6])
+    ints = rng.random() < 0.15
+    pts: list[tuple] = []
+    for _ in range(n):
+        if pts and rng.random() < 0.2:
+            pts.append(rng.choice(pts))
+            continue
+        p = []
+        for _ in range(d):
+            v = rng.randint(0, hi)
+            if ints:
+                p.append(v - hi // 2)
+            elif v == 0 and offset == 0.0 and rng.random() < 0.5:
+                p.append(-0.0)
+            else:
+                p.append(offset + scale * v)
+        pts.append(tuple(p))
+    return tuple(pts)

@@ -1,3 +1,6 @@
+import gc
+import json
+import math
 import random
 
 import pytest
@@ -17,7 +20,9 @@ from treeclust import (
     tree_to_json_obj,
     validate_tree,
 )
-from helpers import random_points
+from treeclust import explainable
+from treeclust.core import _prefix_masks, _splits
+from helpers import random_points, reference_split_search, tie_heavy_points
 
 BOTH_KINDS = [CostKind.MEANS, CostKind.MEDIANS]
 
@@ -188,6 +193,164 @@ class TestGolden:
         assert tree_to_json_obj(res.tree) == {"k": 2, "tree": _node(1, 1.0, _leaf(1), _leaf(2))}
         assert res.removed == frozenset({4, 5})
         assert res.rank_grid == ((1.0, 1.0, 1.0, 2.0, 3.0, 3.0), (0.0, 0.0, 0.0, 1.0, 2.0, 3.0))
+
+
+def _compensated_sum(xs):
+    """CPython 3.12's float ``sum``: Neumaier's compensated summation."""
+    total = 0.0
+    comp = 0.0
+    for x in xs:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+def _compensated_cost(pts, kind):
+    """``cluster_cost`` with ``sum`` replaced by _compensated_sum."""
+    total = 0.0
+    for col in zip(*pts):
+        if kind is CostKind.MEANS:
+            m = _compensated_sum(col) / len(col)
+            total += _compensated_sum((c - m) ** 2 for c in col)
+        else:
+            med = sorted(col)[(len(col) - 1) // 2]
+            total += _compensated_sum(abs(c - med) for c in col)
+    return total
+
+
+def _sweep_all(bounds, pts, mask):
+    """Sweep every dimension of the state ``mask`` both ways."""
+    by_dim = {}
+    for dim, lmask, _ in _splits(mask, _prefix_masks(pts)):
+        by_dim.setdefault(dim, []).append(lmask)
+    for dim, lefts in by_dim.items():
+        bounds.sweep(mask, dim, [m.bit_count() for m in lefts], lefts, True)
+        rights = [mask ^ m for m in reversed(lefts)]
+        bounds.sweep(mask, dim, [m.bit_count() for m in rights], rights, False)
+
+
+class TestLeafBounds:
+    @pytest.mark.parametrize("kind", BOTH_KINDS)
+    def test_interval_holds_the_float_cost(self, kind):
+        rng = random.Random(41)
+        variants = [(0.0, 1.0), (1e6, 1.0), (1e6, 1e-3), (0.0, 1e-6), (-7.25, 0.3)]
+        checked = 0
+        for case in range(150):
+            offset, scale = variants[case % len(variants)]
+            n, d = rng.randint(2, 24), rng.randint(1, 3)
+            if case % 6 == 5:
+                # int coordinates, as Dataset(...) keeps them without from_rows
+                pts = tuple(tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(n))
+            else:
+                pts = tuple(
+                    tuple(offset + scale * rng.choice([0.0, -0.0, rng.random(), 1.0, 2.0])
+                          for _ in range(d))
+                    for _ in range(n)
+                )
+            pts = pts + pts[: rng.randint(0, 3)]  # duplicates
+            ds = Dataset(pts)
+            known = {}
+            bounds = explainable._LeafBounds.of(ds.points, kind, known)
+            assert bounds is not None
+            for _ in range(3):
+                _sweep_all(bounds, ds.points, rng.randrange(1, 1 << ds.n))
+            for side, (lo, hi) in known.items():
+                leaf = [p for i, p in enumerate(ds.points) if side >> i & 1]
+                for cost in (cluster_cost(leaf, kind), _compensated_cost(leaf, kind)):
+                    assert lo <= cost <= hi, (pts, side, lo, cost, hi)
+                # tight enough to filter (the rounded mean's shift widens
+                # MEANS intervals when the offset dwarfs the spread)
+                assert hi - lo <= 1e-9 * hi + 1e-20 * (1 + abs(offset)) ** 2
+                checked += 1
+        assert checked > 3000
+
+    def test_refused_data_is_priced_leaf_by_leaf(self):
+        big = 2.0**450
+        for pts in ([(0.5,), (2**60 + 1,), (3,), (2**60,)], [(1.0,), (big,), (2.0,), (-big,)]):
+            ds = Dataset(tuple(pts))
+            assert explainable._LeafBounds.of(ds.points, CostKind.MEANS, {}) is None
+            for kind in BOTH_KINDS:
+                cost, node = reference_split_search(ds, 2, kind)
+                got = solve_branching(ds, 2, kind)
+                assert repr(got.cost) == repr(cost)
+                assert got.tree == explainable._finish(node, ds, cost, kind).tree
+
+
+class TestSplitSearch:
+    def test_matches_per_leaf_pricing(self):
+        """Cost repr, tree JSON and clusters equal the per-leaf reference on
+        tie-heavy inputs: offsets, scales, duplicates, signed zeros, ints."""
+        rng = random.Random(43)
+        trees = 0
+        for _ in range(320):
+            n, d = rng.randint(2, 26), rng.randint(1, 3)
+            k = rng.randint(1, min(n, 5 if n <= 14 else 3))
+            ds = Dataset(tie_heavy_points(rng, n, d))
+            for kind in BOTH_KINDS:
+                try:
+                    cost, node = reference_split_search(ds, k, kind)
+                except ValueError:
+                    with pytest.raises(ValueError, match="too few distinct points"):
+                        solve_dp(ds, k, kind, force=True)
+                    continue
+                want = explainable._finish(node, ds, cost, kind)
+                got = solve_dp(ds, k, kind, force=True)
+                assert repr(got.cost) == repr(want.cost)
+                assert json.dumps(tree_to_json_obj(got.tree)) == json.dumps(
+                    tree_to_json_obj(want.tree))
+                assert got.clusters == want.clusters
+                trees += 1
+        assert trees >= 500
+
+    def test_dropping_the_map_keeps_results(self, monkeypatch):
+        monkeypatch.setattr(explainable, "_KNOWN_MAX", 8)
+        rng = random.Random(46)
+        for _ in range(40):
+            ds = Dataset(tie_heavy_points(rng, rng.randint(6, 20), rng.randint(1, 3)))
+            k = rng.randint(2, 4)
+            for kind in BOTH_KINDS:
+                try:
+                    cost, node = reference_split_search(ds, k, kind)
+                except ValueError:
+                    continue
+                got = solve_dp(ds, k, kind, force=True)
+                assert repr(got.cost) == repr(cost)
+                assert got.tree == explainable._finish(node, ds, cost, kind).tree
+
+    def test_two_leaf_layer_prices_few_leaves(self, monkeypatch):
+        calls = [0]
+        real = explainable.cluster_cost
+
+        def counting(pts, kind):
+            calls[0] += 1
+            return real(pts, kind)
+
+        monkeypatch.setattr(explainable, "cluster_cost", counting)
+        ds = Dataset(random_points(random.Random(44), 120, 2, hi=10**6))
+        solve_branching(ds, 3, CostKind.MEDIANS)
+        # pricing every leaf of every two-leaf state takes about 26,700 calls
+        assert calls[0] < 2000
+
+    def test_releases_its_maps(self):
+        ds = Dataset(random_points(random.Random(45), 40, 2, hi=10**6))
+        flat = Dataset.from_rows([(0.0, 0.0)] * 5)
+        gc.collect()
+        gc.disable()
+        try:
+            solve_branching(ds, 3, CostKind.MEANS)
+            with pytest.raises(ValueError):
+                solve_branching(flat, 3, CostKind.MEANS)
+            left_over = gc.collect()
+        finally:
+            gc.enable()
+        # the memo held about 8,500 objects after these two solves
+        assert left_over < 200
 
 
 class TestSolveApprox:
