@@ -9,7 +9,8 @@ parsing or output; for gen, generating and writing the file), guardrails
 tree. explain and fit with --format dot write the tree's DOT drawing
 instead, and each leaf's size counts only the kept points routed to it.
 Diagnostics go to stderr. Exit codes: 0 success / positive answer, 1
-well-formed but negative or infeasible answer, 2 usage or input error, 3
+well-formed but negative or infeasible answer, 2 usage or input error
+(coordinates so large that a cost overflows a float included), 3
 internal failure (a failed self-check, RecursionError or MemoryError;
 stderr reads "error: internal: <Type>: <message>").
 """
@@ -423,6 +424,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, LimitExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        print("error: a cost overflows a float: the coordinates are too large", file=sys.stderr)
         return 2
     except (AssertionError, RecursionError, MemoryError) as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -11,7 +11,10 @@ interval for the float cost of every side; only the cuts whose interval
 can reach the least total are priced with cluster_cost, so costs, trees
 and tie-breaks are those of pricing every leaf. solve_approx is an
 outlier-tolerant grid approximation that may drop up to an epsilon
-fraction of the points.
+fraction of the points. It enumerates its grid trees on member bitmasks,
+prices each distinct leaf once per call from a memo, and skips a tree
+whose already priced leaves cost at least the best total, so its result
+is that of pricing every leaf of every tree.
 """
 from __future__ import annotations
 
@@ -38,9 +41,11 @@ from .tree import (
     Leaf,
     ThresholdTree,
     TreeNode,
+    TreeShape,
     enumerate_shapes,
     shape_leaf_count,
     tree_evaluate,
+    tree_from_shape,
 )
 
 BRANCH_MAX_K = 8
@@ -433,7 +438,22 @@ def solve_approx(
 ) -> ApproxResult:
     """Explainable clustering of all but at most an epsilon fraction of the
     points, using only cuts on a per-dimension rank grid; no worse than the
-    optimal explainable cost of the full dataset."""
+    optimal explainable cost of the full dataset.
+
+    Every shape, then every assignment of grid lines to its internal nodes
+    in preorder, is a candidate; it drops the bands of all its lines from
+    every leaf and counts only if no leaf is left empty. The first
+    candidate of least float total wins (strict ``<``). Candidates are
+    enumerated on bitmasks (each line's "<= theta" members and band
+    members), and a per-call memo prices each distinct leaf once with
+    ``cluster_cost`` on its points in id order, so every total is the float
+    of pricing every leaf. A candidate with an unpriced leaf is skipped
+    when its priced leaves' float sum reaches bar = best * (1 + 4
+    gamma(k)) + _TINY (gamma as in _LeafBounds). Proof that it cannot win:
+    costs are >= 0 and every float sum of at most k of them, recursive or
+    compensated, is within gamma(k) of its exact sum, so its total is at
+    least (1 - gamma(k)) / (1 + gamma(k)) * bar >= best.
+    """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if not 1 <= k <= ds.n:
@@ -456,48 +476,59 @@ def solve_approx(
         return exact_fallback()
     thresholds, bands = _rank_grid(ds, k, epsilon, nprime)
     grid_out = tuple(tuple(ts) for ts in thresholds)
-    options = [
-        (dim, i) for dim in range(1, ds.d + 1) for i in range(len(thresholds[dim - 1]))
-    ]
-    if not options:
+    cuts = [Cut(dim, theta) for dim, ts in enumerate(thresholds, 1) for theta in ts]
+    if not cuts:
         return exact_fallback()
     pts = ds.points
-    best: tuple[float, TreeNode, frozenset[int]] | None = None
+    # per grid line: the members of its "<= theta" side and of its band
+    lows = [sum(1 << i for i, p in enumerate(pts) if p[c.dim - 1] <= c.theta) for c in cuts]
+    band_masks = [sum(1 << i for i in band) for dim_bands in bands for band in dim_bands]
 
-    def search(shape, ids: list[int], used: list[tuple[int, int]]):
-        """Yield (node, leaf id lists) for every grid-cut assignment; `used`
-        accumulates the chosen lines for band removal later."""
-        if shape == ():
-            yield Leaf(0), [ids], list(used)
+    def search(shape, mask: int):
+        """Yield (grid lines in preorder, leaf masks, used band mask) for every
+        grid-cut assignment of ``shape`` to the members of ``mask`` that
+        leaves no leaf empty before band removal."""
+        if not mask:
             return
-        for dim, gi in options:
-            theta = thresholds[dim - 1][gi]
-            left_ids = [i for i in ids if pts[i][dim - 1] <= theta]
-            right_ids = [i for i in ids if pts[i][dim - 1] > theta]
-            for nl, leaves_l, used_l in search(shape[0], left_ids, used + [(dim, gi)]):
-                for nr, leaves_r, used_r in search(shape[1], right_ids, used_l):
-                    yield Internal(Cut(dim, theta), nl, nr), leaves_l + leaves_r, used_r
+        if shape == ():
+            yield (), [mask], 0
+            return
+        for o, low in enumerate(lows):
+            rights = list(search(shape[1], mask & ~low))
+            for opts_l, leaves_l, used_l in search(shape[0], mask & low) if rights else ():
+                used_l |= band_masks[o]
+                for opts_r, leaves_r, used_r in rights:
+                    yield (o, *opts_l, *opts_r), leaves_l + leaves_r, used_l | used_r
 
-    all_ids = list(range(ds.n))
+    costs_of: dict[int, float] = {}  # leaf mask after band removal -> cost
+    grow = 1 + 4 * _gamma(k)
+    best: tuple[float, TreeShape, tuple[int, ...], int] | None = None
     for shape in enumerate_shapes(k):
         assert shape_leaf_count(shape) == k
-        for node, leaves, used in search(shape, all_ids, []):
-            removed: set[int] = set()
-            for dim, gi in used:
-                removed |= bands[dim - 1][gi]
-            leaves = [[i for i in leaf if i not in removed] for leaf in leaves]
-            if any(not leaf for leaf in leaves):
+        for opts, leaves, used in search(shape, (1 << ds.n) - 1):
+            leaves = [leaf & ~used for leaf in leaves]
+            if 0 in leaves:
                 continue
-            cost = sum(cluster_cost([pts[i] for i in leaf], kind) for leaf in leaves)
+            costs = [costs_of.get(leaf) for leaf in leaves]
+            if None in costs:
+                if best is not None and sum(c for c in costs if c is not None) >= bar:
+                    continue
+                for t, leaf in enumerate(leaves):
+                    if costs[t] is None:
+                        costs[t] = costs_of[leaf] = cluster_cost(
+                            [p for i, p in enumerate(pts) if leaf >> i & 1], kind)
+            cost = sum(costs)
             if best is None or cost < best[0]:
-                best = (cost, node, frozenset(removed))
+                best = (cost, shape, opts, used)
+                bar = cost * grow + _TINY
     if best is None:
         return exact_fallback()
-    cost, node, removed = best
+    cost, shape, opts, used = best
+    removed = frozenset(i for i in range(ds.n) if used >> i & 1)
     return ApproxResult(
-        kept=frozenset(all_ids) - removed,
+        kept=frozenset(range(ds.n)) - removed,
         removed=removed,
-        tree=ThresholdTree(_relabel(node)),
+        tree=tree_from_shape(shape, [cuts[o] for o in opts], range(1, k + 1)),
         cost=cost,
         epsilon=epsilon,
         rank_grid=grid_out,

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 from treeclust import (
+    ApproxResult,
     Clustering,
     Cut,
     Dataset,
@@ -11,9 +12,12 @@ from treeclust import (
     Leaf,
     ThresholdTree,
     cluster_cost,
+    enumerate_shapes,
+    solve_branching,
     tree_evaluate,
 )
 from treeclust.core import _prefix_masks, _splits
+from treeclust.explainable import _rank_grid, _relabel
 
 
 def random_points(rng: random.Random, n: int, d: int, lo: int = 0, hi: int = 5):
@@ -125,6 +129,61 @@ def reference_split_search(ds, k: int, kind):
     if node is None:
         raise ValueError("no explainable k-clustering: too few distinct points")
     return cost, node
+
+
+def reference_solve_approx(ds, k: int, kind, epsilon: float) -> ApproxResult:
+    """``solve_approx`` as it was before the bitmask enumeration: every grid
+    tree built as nodes over id lists, its used bands united as sets and
+    every leaf priced with ``cluster_cost``. Kept as the reference that the
+    production search must match bit for bit."""
+    nprime = int(epsilon * ds.n / k)
+
+    def exact_fallback() -> ApproxResult:
+        res = solve_branching(ds, k, kind, force=True)
+        return ApproxResult(frozenset(range(ds.n)), frozenset(), res.tree, res.cost,
+                            epsilon, tuple(() for _ in range(ds.d)))
+
+    if nprime == 0:
+        return exact_fallback()
+    thresholds, bands = _rank_grid(ds, k, epsilon, nprime)
+    options = [
+        (dim, i) for dim in range(1, ds.d + 1) for i in range(len(thresholds[dim - 1]))
+    ]
+    if not options:
+        return exact_fallback()
+    pts = ds.points
+    best = None
+
+    def search(shape, ids, used):
+        if shape == ():
+            yield Leaf(0), [ids], list(used)
+            return
+        for dim, gi in options:
+            theta = thresholds[dim - 1][gi]
+            left_ids = [i for i in ids if pts[i][dim - 1] <= theta]
+            right_ids = [i for i in ids if pts[i][dim - 1] > theta]
+            for nl, leaves_l, used_l in search(shape[0], left_ids, used + [(dim, gi)]):
+                for nr, leaves_r, used_r in search(shape[1], right_ids, used_l):
+                    yield Internal(Cut(dim, theta), nl, nr), leaves_l + leaves_r, used_r
+
+    all_ids = list(range(ds.n))
+    for shape in enumerate_shapes(k):
+        for node, leaves, used in search(shape, all_ids, []):
+            removed = set()
+            for dim, gi in used:
+                removed |= bands[dim - 1][gi]
+            leaves = [[i for i in leaf if i not in removed] for leaf in leaves]
+            if any(not leaf for leaf in leaves):
+                continue
+            cost = sum(cluster_cost([pts[i] for i in leaf], kind) for leaf in leaves)
+            if best is None or cost < best[0]:
+                best = (cost, node, frozenset(removed))
+    if best is None:
+        return exact_fallback()
+    cost, node, removed = best
+    return ApproxResult(frozenset(all_ids) - removed, removed,
+                        ThresholdTree(_relabel(node)), cost, epsilon,
+                        tuple(tuple(ts) for ts in thresholds))
 
 
 def tie_heavy_points(rng: random.Random, n: int, d: int):

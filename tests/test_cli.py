@@ -167,6 +167,20 @@ class TestFit:
         report = json.loads(proc.stdout)
         assert report["input"]["d"] == 2  # cluster column not treated as a coordinate
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--k", "2", "--method", "dp"],
+        ["fit", "--k", "2", "--method", "approx", "--epsilon", "0.5"],
+        ["baseline", "--k", "2"],
+    ])
+    def test_overflowing_cost_exits_two(self, tmp_path, argv):
+        p = tmp_path / "big.csv"
+        p.write_text("x1\n1e200\n-1e200\n1e200\n0\n")
+        proc = run_cli(argv[0], str(p), *argv[1:])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "too large" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestBaseline:
     def test_ratio_reported(self, tmp_path):

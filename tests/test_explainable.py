@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,12 @@ from treeclust import (
 )
 from treeclust import explainable
 from treeclust.core import _prefix_masks, _splits
-from helpers import random_points, reference_split_search, tie_heavy_points
+from helpers import (
+    random_points,
+    reference_solve_approx,
+    reference_split_search,
+    tie_heavy_points,
+)
 
 BOTH_KINDS = [CostKind.MEANS, CostKind.MEDIANS]
 
@@ -407,6 +413,83 @@ class TestSolveApprox:
                     walk(node.right)
 
             walk(res.tree.root)
+
+    def test_matches_list_enumeration(self):
+        """Cost repr, tree JSON, removal, kept set and rank grid equal the
+        list-based enumeration on tie-heavy inputs (repeated thresholds,
+        duplicates, signed zeros, ints), fallbacks and refusals included."""
+        rng = random.Random(48)
+        seen = Counter()
+        for case in range(300):
+            n, d = rng.randint(4, 16), rng.randint(1, 3)
+            k = rng.randint(1, 3)
+            eps = rng.choice([0.1, 0.2, 0.3, 0.5])
+            if case % 25 == 0:
+                # the reference prices 5 * options**3 trees at k = 4
+                n, d, k, eps = rng.randint(8, 9), 1, 4, 0.5
+            pts = tie_heavy_points(rng, n, d)
+            while k == 4 and len(set(pts)) < 5:
+                pts = tie_heavy_points(rng, n, d)
+            if k < 4 and rng.random() < 0.3:
+                # mostly one point: bands can then empty a leaf of every tree
+                pts = tuple(pts[0] if rng.random() < 0.7 else p for p in pts)
+            ds = Dataset(pts)
+            for kind in BOTH_KINDS:
+                try:
+                    want = reference_solve_approx(ds, k, kind, eps)
+                except ValueError:
+                    with pytest.raises(ValueError, match="too few distinct points"):
+                        solve_approx(ds, k, kind, eps)
+                    seen["refused"] += 1
+                    continue
+                got = solve_approx(ds, k, kind, eps)
+                assert repr(got.cost) == repr(want.cost)
+                assert json.dumps(tree_to_json_obj(got.tree)) == json.dumps(
+                    tree_to_json_obj(want.tree))
+                assert (got.removed, got.kept) == (want.removed, want.kept)
+                assert repr(got.rank_grid) == repr(want.rank_grid)
+                if int(eps * n / k) == 0:
+                    seen["n' = 0"] += 1
+                elif not any(want.rank_grid):
+                    seen["no grid tree"] += 1
+                else:
+                    seen["grid", k] += 1
+                    seen["repeated"] += any(len(set(ts)) < len(ts) for ts in want.rank_grid)
+        assert min(seen["grid", k] for k in (1, 2, 3, 4)) >= 10
+        assert seen["repeated"] >= 100
+        assert min(seen["n' = 0"], seen["no grid tree"], seen["refused"]) >= 3
+
+    def test_leaf_memo_prices_few_leaves(self, monkeypatch):
+        calls = [0]
+        real = explainable.cluster_cost
+
+        def counting(pts, kind):
+            calls[0] += 1
+            return real(pts, kind)
+
+        monkeypatch.setattr(explainable, "cluster_cost", counting)
+        ds = Dataset(random_points(random.Random(47), 66, 2, hi=10**6))
+        solve_approx(ds, 3, CostKind.MEANS, 0.1)
+        # pricing every leaf of every grid tree takes 16,104 calls
+        assert calls[0] < 6000
+
+    def test_releases_its_memo(self, monkeypatch):
+        class Cost(float):
+            """A float that the cyclic garbage collector tracks."""
+
+        real = explainable.cluster_cost
+        monkeypatch.setattr(explainable, "cluster_cost",
+                            lambda pts, kind: Cost(real(pts, kind)))
+        ds = Dataset(random_points(random.Random(47), 66, 2, hi=10**6))
+        gc.collect()
+        gc.disable()
+        try:
+            solve_approx(ds, 3, CostKind.MEANS, 0.1)
+            left_over = gc.collect()
+        finally:
+            gc.enable()
+        # a memo that a reference cycle kept alive would hold about 4,400
+        assert left_over < 200
 
 
 class TestLloydBaseline:
