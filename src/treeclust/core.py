@@ -3,14 +3,16 @@
 A point is a plain tuple of floats; datasets are immutable and give every
 point a stable id equal to its position. Cluster costs follow the usual
 conventions: sum of squared Euclidean deviations from the mean, or sum of
-L1 deviations from the coordinatewise median (lower median on ties).
+L1 deviations from the coordinatewise median (lower median on ties). Every
+cost is the float nearest the exact cost: the coordinates are scaled into
+exact ints (``_int_columns``) and the cost is one ratio of ints, which
+Python's ``/`` rounds correctly (``_exact_cost``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from statistics import median_low
 from typing import Iterable, Iterator, Sequence
 
 Point = tuple[float, ...]
@@ -148,22 +150,43 @@ def cut_apply(pts: Sequence[Point], cut: Cut) -> tuple[list[Point], list[Point]]
     return left, right
 
 
+def _int_columns(pts: Sequence[Point]) -> tuple[int, list[list[int]]]:
+    """(E, columns): per dimension, every coordinate times E as an exact
+    int, where E is the least common denominator of the coordinates (a
+    power of two for floats and ints)."""
+    ratios = [[c.as_integer_ratio() for c in col] for col in zip(*pts)]
+    scale = math.lcm(*{den for col in ratios for _, den in col})
+    return scale, [[num * (scale // den) for num, den in col] for col in ratios]
+
+
+def _exact_cost(cols: list[list[int]], ids: Sequence[int], scale: int, kind: CostKind) -> float:
+    """The float nearest the cost of the points ``ids`` of the scaled
+    columns ``cols`` (see _int_columns). With m points, MEANS is
+    sum over dimensions of (m * sum x**2 - (sum x)**2) / (m * E**2); MEDIANS
+    is sum over dimensions of (sum of the top m // 2 values - sum of the
+    bottom m // 2) / E, the L1 cost about any median. Raises OverflowError
+    when the cost exceeds the largest float."""
+    m = len(ids)
+    num = 0
+    if kind is CostKind.MEANS:
+        for col in cols:
+            xs = [col[i] for i in ids]
+            total = sum(xs)
+            num += m * sum([x * x for x in xs]) - total * total
+        return num / (m * scale * scale)
+    h = m >> 1
+    for col in cols:
+        xs = sorted([col[i] for i in ids])
+        num += sum(xs[m - h:]) - sum(xs[:h])
+    return num / scale
+
+
 def cluster_cost(pts: Sequence[Point], kind: CostKind) -> float:
+    """The float nearest the exact cost of the points ``pts``."""
     if not pts:
         raise ValueError("cluster cost is undefined for an empty collection")
-    d = len(pts[0])
-    total = 0.0
-    if kind is CostKind.MEANS:
-        for i in range(d):
-            col = [p[i] for p in pts]
-            m = sum(col) / len(col)
-            total += sum((c - m) ** 2 for c in col)
-    else:
-        for i in range(d):
-            col = [p[i] for p in pts]
-            med = median_low(col)
-            total += sum(abs(c - med) for c in col)
-    return total
+    scale, cols = _int_columns(pts)
+    return _exact_cost(cols, range(len(pts)), scale, kind)
 
 
 def centroid(pts: Sequence[Point], kind: CostKind) -> Point:
@@ -172,7 +195,7 @@ def centroid(pts: Sequence[Point], kind: CostKind) -> Point:
     d = len(pts[0])
     if kind is CostKind.MEANS:
         return tuple(sum(p[i] for p in pts) / len(pts) for i in range(d))
-    return tuple(median_low([p[i] for p in pts]) for i in range(d))
+    return tuple(sorted([p[i] for p in pts])[(len(pts) - 1) // 2] for i in range(d))
 
 
 def box_members(ds: Dataset, box: Box) -> list[int]:

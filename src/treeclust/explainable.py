@@ -6,13 +6,13 @@ solve_branching (recursive branching search) and solve_dp (dynamic
 program over point subsets), run one memoized split search keyed by
 member bitmask and leaf quota, so they return the same tree; they differ
 only in their guard rails. A state with two leaves left prices its cuts
-by one sorted sweep per dimension and direction, which yields a certified
-interval for the float cost of every side; only the cuts whose interval
-can reach the least total are priced with cluster_cost, so costs, trees
-and tie-breaks are those of pricing every leaf. solve_approx is an
-outlier-tolerant grid approximation that may drop up to an epsilon
-fraction of the points. It enumerates its grid trees on member bitmasks,
-prices each distinct leaf once per call from a memo, and skips a tree
+by one sorted sweep per dimension and direction. Every leaf cost is the
+float nearest the exact cost (core._exact_cost), so a sweep's value is
+the cost itself and trees and tie-breaks are those of pricing every leaf
+with cluster_cost. solve_approx is an outlier-tolerant grid
+approximation that may drop up to an epsilon fraction of the points. It
+enumerates its grid trees on member bitmasks, prices each distinct leaf
+once per call from a memo, sums leaves with math.fsum and skips a tree
 whose already priced leaves cost at least the best total, so its result
 is that of pricing every leaf of every tree.
 """
@@ -31,6 +31,8 @@ from .core import (
     Dataset,
     LimitExceededError,
     Point,
+    _exact_cost,
+    _int_columns,
     _prefix_masks,
     _splits,
     centroid,
@@ -53,13 +55,8 @@ DP_MAX_N = 40
 DP_MAX_D = 4
 
 _INF = math.inf
-_U = 2.0**-53
-# spare roundings and absolute underflow slack of a _LeafBounds interval
-_SPARE = 10
-_TINY = 2.0**-1000
-# no cost of coordinates up to this magnitude overflows a float
-_SWEEP_MAX = 2.0**400
-# intervals a split search keeps before it drops them all and sweeps anew
+_LEAF = Leaf(0)
+# leaf costs a split search keeps before it drops them all and prices anew
 _KNOWN_MAX = 1 << 16
 
 
@@ -108,94 +105,43 @@ def _finish(node: TreeNode, ds: Dataset, cost: float, kind: CostKind) -> Explain
     return ExplainableResult(tree, tree_evaluate(tree, ds), cost, kind)
 
 
-class _LeafBounds:
-    """Certified intervals for the float ``cluster_cost`` of leaf sets, filled
-    by sorted sweeps over one dimension's cuts of a state and kept per search
-    in ``known`` (member mask -> (lo, hi)).
+class _LeafCosts:
+    """Exactly rounded leaf costs (see core._exact_cost) of one dataset,
+    kept per search in ``known`` (member mask -> cost), which is dropped
+    whenever it holds more than _KNOWN_MAX costs. ``leaf`` prices one member
+    set; ``sweep`` prices every side of one dimension's cuts of a state in
+    one sorted pass, with exact int prefix sums."""
 
-    Every coordinate is scaled by one power of two E into an exact int, so
-    the running sums are exact and a leaf's exact cost C is a ratio of ints,
-    which ``/`` rounds once, correctly. For m members in d dimensions, with
-    u = 2**-53 and gamma(j) = j*u / (1 - j*u), ``cluster_cost`` returns:
-
-    - MEDIANS: a float within gamma(m + d) * C of C. The L1 cost about the
-      lower median of a column is the sum of its top floor(m/2) values minus
-      the sum of its bottom floor(m/2). ``cluster_cost`` takes the median
-      exactly, rounds once in each ``c - med`` and adds the nonnegative
-      terms with m - 1, then d - 1, more roundings.
-    - MEANS: a float in [C (1 - g), (C + D) (1 + g)], g = gamma(m + d + 2),
-      where C = (m * sum x**2 - (sum x)**2) / (m * E**2) summed over
-      dimensions. The rounded mean is off by at most gamma(m) * sum|x| / m,
-      so the exact squares about it add up to at most C + D with
-      D = sum over dimensions of gamma(m)**2 * (sum|x|)**2 / m. Each term
-      then takes one rounding in ``c - mean`` (two once squared), up to one
-      ulp (two roundings) in the C ``pow`` behind ``** 2``, and the m - 1
-      and d - 1 additions.
-
-    Both hold for the compensated float ``sum`` of CPython >= 3.12 too.
-    That sum returns fl(s + c), where s is the recursive sum of the m terms
-    t and c adds up their m - 1 exactly computed step errors, each at most
-    u * sum|t|; so it too stays within gamma(m - 1) * sum|t| of the exact
-    sum, the one property of ``sum`` used above.
-
-    A stored interval widens g by _SPARE roundings (the correctly rounded
-    C, an int column's sum turned float, the interval's own four float
-    operations) and sum|x| by max|x| per member; _TINY covers underflow,
-    which only the products and quotients of MEANS can suffer, by at most
-    2**-1075 each. A cut's total needs no widening: rounding is monotone,
-    so fl(lo_l + lo_r) <= fl(cl + cr) <= fl(hi_l + hi_r).
-    """
-
-    def __init__(self, pts: tuple[Point, ...], kind: CostKind, scale: int,
-                 known: dict[int, tuple[float, float]]):
-        n, d = len(pts), len(pts[0])
-        self.medians = kind is CostKind.MEDIANS
+    def __init__(self, pts: tuple[Point, ...], kind: CostKind):
+        n = len(pts)
+        self.kind = kind
         self.n = n
-        self.scale = scale
-        self.known = known
-        self.cols = [[_scaled(p[j], scale) for p in pts] for j in range(d)]
+        self.scale, self.cols = _int_columns(pts)
         self.squares = [sum(c * c for c in x) for x in zip(*self.cols)]
         self.order = [sorted(range(n), key=col.__getitem__) for col in self.cols]
-        # max|x| per dimension, for the rounded mean's shift D of MEANS
-        spread = [] if self.medians else [max(abs(float(p[j])) for p in pts) for j in range(d)]
-        self.lo_f = [0.0] * (n + 1)
-        self.hi_f = [0.0] * (n + 1)
-        self.shift = [0.0] * (n + 1)
-        for m in range(1, n + 1):
-            g = _gamma(m + d + _SPARE)
-            self.lo_f[m] = 1.0 - g
-            self.hi_f[m] = 1.0 + g
-            # D with sum|x| <= m * max|x|, one spare rounding in gamma and
-            # doubled for the rounding of this sum
-            self.shift[m] = 2.0 * sum(m * (_gamma(m + 1) * a + _TINY) ** 2 for a in spread)
+        self.known: dict[int, float] = {}
 
-    @classmethod
-    def of(cls, pts: tuple[Point, ...], kind: CostKind,
-           known: dict[int, tuple[float, float]]) -> "_LeafBounds | None":
-        """None when a coordinate is not a float, an int beyond 2**53 (which
-        ``cluster_cost`` rounds on use) or beyond _SWEEP_MAX in magnitude."""
-        den = 1
-        for p in pts:
-            for c in p:
-                if isinstance(c, float):
-                    if abs(c) > _SWEEP_MAX:
-                        return None
-                    den = max(den, c.as_integer_ratio()[1])
-                elif not isinstance(c, int) or abs(c) > 2**53:
-                    return None
-        return cls(pts, kind, den, known)
+    def leaf(self, mask: int) -> float:
+        """The cost of the member set ``mask``, from the map if it is there."""
+        cost = self.known.get(mask)
+        if cost is None:
+            if len(self.known) > _KNOWN_MAX:
+                self.known.clear()
+            cost = self.known[mask] = _exact_cost(
+                self.cols, _members(mask, self.n), self.scale, self.kind)
+        return cost
 
     def sweep(self, mask: int, dim: int, sizes: list[int], sides: list[int],
               forward: bool) -> None:
-        """Store the interval of every side of one dimension's cuts of the
-        state ``mask``: the left sides when ``forward``, in ascending cut
-        order, else the right sides in descending order. ``sizes`` holds
-        their member counts, which grow along the list."""
+        """Store the cost of every side of one dimension's cuts of the state
+        ``mask``: the left sides when ``forward``, in ascending cut order,
+        else the right sides in descending order. ``sizes`` holds their
+        member counts, which grow along the list."""
         flags = format(mask, f"0{self.n}b")[::-1]
         ids = [i for i in self.order[dim - 1] if flags[i] == "1"]
         if not forward:
             ids.reverse()
-        if self.medians:
+        if self.kind is CostKind.MEDIANS:
             nums = [0] * len(sizes)
             for j, col in enumerate(self.cols):
                 vals = [col[i] for i in ids]
@@ -212,11 +158,13 @@ class _LeafBounds:
                 nums = [num - acc[m] * acc[m] for num, m in zip(nums, sizes)]
             den = self.scale * self.scale
             costs = [num / (m * den) for num, m in zip(nums, sizes)]
-        lo_f, hi_f, shift = self.lo_f, self.hi_f, self.shift
-        self.known.update(zip(sides, [
-            (c * lo_f[m] - _TINY, (c + shift[m]) * hi_f[m] + _TINY)
-            for c, m in zip(costs, sizes)
-        ]))
+        self.known.update(zip(sides, costs))
+
+
+def _members(mask: int, n: int) -> list[int]:
+    """The ids of ``mask``'s members, ascending, read off one bit string."""
+    flags = format(mask, f"0{n}b")[::-1]
+    return [i for i, f in enumerate(flags) if f == "1"]
 
 
 def _sorted_l1(vals: list[int], sizes: list[int], nums: list[int], sign: int) -> None:
@@ -259,15 +207,6 @@ def _running_l1(vals: list[int], sizes: list[int], nums: list[int]) -> None:
         nums[t] += up_sum - low_sum - (lower[0] if m & 1 else 0)
 
 
-def _scaled(c: float, scale: int) -> int:
-    num, den = c.as_integer_ratio()
-    return num * (scale // den)
-
-
-def _gamma(j: int) -> float:
-    return j * _U / (1 - j * _U)
-
-
 def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]:
     """Optimal k-leaf threshold tree by memoized split search.
 
@@ -278,66 +217,65 @@ def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]
     total, and only a strictly better total replaces the incumbent, so
     ties go to the first cut in that order.
 
-    A state with quota 2 does not price every leaf. Per dimension a forward
-    sweep bounds every left side and a backward sweep every right side
-    (``_LeafBounds``), each only when one of its sides has no interval in
-    the search's map yet. With U the least upper bound of a cut's total,
-    only cuts whose lower bound is at most U are priced with
-    ``cluster_cost``, in the same order and with the same strict ``<``.
-    Every cut whose float total is the minimum has a lower bound at most
-    that minimum, which is at most U, so it is priced; the state returns
-    the same float and the same first minimum as pricing every cut. Data
-    that ``_LeafBounds.of`` refuses is priced leaf by leaf. The map is
-    dropped whenever it holds more than _KNOWN_MAX intervals, which bounds
-    its memory; a dropped side is swept again when a state needs it.
+    Leaf costs are exactly rounded and kept in one map (``_LeafCosts``).
+    A state with quota 2 prices all its cuts at once: per dimension a
+    forward sweep prices every left side and a backward sweep every right
+    side, each only when one of its sides is not in the map, and the state
+    takes the first cut of least total, as the loop would. The map is
+    dropped whenever it holds more than _KNOWN_MAX costs, which bounds its
+    memory; a dropped side is priced again when a state needs it.
     """
     pts = ds.points
     prefix = _prefix_masks(pts)
     memo: dict[tuple[int, int], tuple[float, TreeNode | None]] = {}
-    known: dict[int, tuple[float, float]] = {}
-    bounds = _LeafBounds.of(pts, kind, known)
+    costs = _LeafCosts(pts, kind)
+    known = costs.known
 
-    def near_minimal(
-        mask: int, splits: list[tuple[int, int, int, int, int]]
-    ) -> list[tuple[int, int, int, int, int]]:
-        """The cuts of a quota-2 state whose total can reach the least."""
+    def cut_node(dim: int, new: int, left: TreeNode, right: TreeNode) -> Internal:
+        # theta comes from the lowest new member, as it would from a set of
+        # member values (this keeps the sign of a zero)
+        return Internal(Cut(dim, pts[(new & -new).bit_length() - 1][dim - 1]), left, right)
+
+    def two_leaves(mask: int) -> tuple[float, TreeNode | None]:
+        splits = list(_splits(mask, prefix))
         if len(known) > _KNOWN_MAX:
             known.clear()
-        lefts = [known.get(lmask) for _, lmask, _, _, _ in splits]
-        rights = [known.get(rmask) for _, _, rmask, _, _ in splits]
+        lefts = [known.get(lmask) for _, lmask, _ in splits]
+        rights = [known.get(mask ^ lmask) for _, lmask, _ in splits]
         if None in lefts or None in rights:
-            size = mask.bit_count()
             start = 0
             for dim, run in groupby(splits, key=itemgetter(0)):
-                cuts = list(run)
-                end = start + len(cuts)
+                sides = [lmask for _, lmask, _ in run]
+                end = start + len(sides)
                 if None in lefts[start:end]:
-                    bounds.sweep(mask, dim, [nl for _, _, _, nl, _ in cuts],
-                                 [lmask for _, lmask, _, _, _ in cuts], True)
+                    costs.sweep(mask, dim, [m.bit_count() for m in sides], sides, True)
                 if None in rights[start:end]:
-                    cuts.reverse()
-                    bounds.sweep(mask, dim, [size - nl for _, _, _, nl, _ in cuts],
-                                 [rmask for _, _, rmask, _, _ in cuts], False)
+                    sides = [mask ^ lmask for lmask in reversed(sides)]
+                    costs.sweep(mask, dim, [m.bit_count() for m in sides], sides, False)
                 start = end
-            lefts = [known[lmask] for _, lmask, _, _, _ in splits]
-            rights = [known[rmask] for _, _, rmask, _, _ in splits]
-        cap = min([lb[1] + rb[1] for lb, rb in zip(lefts, rights)], default=_INF)
-        return [sp for sp, lb, rb in zip(splits, lefts, rights) if lb[0] + rb[0] <= cap]
+            lefts = [known[lmask] for _, lmask, _ in splits]
+            rights = [known[mask ^ lmask] for _, lmask, _ in splits]
+        totals = [cl + cr for cl, cr in zip(lefts, rights)]
+        best = min(totals, default=_INF)
+        if best == _INF:
+            # no cut, or every total overflows: the loop keeps no incumbent
+            return best, None
+        dim, _, new = splits[totals.index(best)]
+        return best, cut_node(dim, new, _LEAF, _LEAF)
 
     def solve(mask: int, s: int) -> tuple[float, TreeNode | None]:
+        if s == 1:
+            return costs.leaf(mask), _LEAF
         hit = memo.get((mask, s))
         if hit is not None:
             return hit
-        if s == 1:
-            ans = (cluster_cost([p for i, p in enumerate(pts) if mask >> i & 1], kind), Leaf(0))
-            memo[(mask, s)] = ans
+        if s == 2:
+            memo[(mask, s)] = ans = two_leaves(mask)
             return ans
         splits = [
             (dim, lmask, mask ^ lmask, lmask.bit_count(), new)
             for dim, lmask, new in _splits(mask, prefix)
         ]
-        if s == 2 and bounds is not None:
-            splits = near_minimal(mask, splits)
         size = mask.bit_count()
         best = _INF
         best_node: TreeNode | None = None
@@ -353,11 +291,7 @@ def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]
                 total = cl + cr
                 if total < best:
                     best = total
-                    # theta comes from the lowest new member, as it would
-                    # from a set of member values (this keeps the sign of a
-                    # zero)
-                    theta = pts[(new & -new).bit_length() - 1][dim - 1]
-                    best_node = Internal(Cut(dim, theta), node_l, node_r)
+                    best_node = cut_node(dim, new, node_l, node_r)
         memo[(mask, s)] = (best, best_node)
         return best, best_node
 
@@ -443,16 +377,13 @@ def solve_approx(
     Every shape, then every assignment of grid lines to its internal nodes
     in preorder, is a candidate; it drops the bands of all its lines from
     every leaf and counts only if no leaf is left empty. The first
-    candidate of least float total wins (strict ``<``). Candidates are
-    enumerated on bitmasks (each line's "<= theta" members and band
-    members), and a per-call memo prices each distinct leaf once with
-    ``cluster_cost`` on its points in id order, so every total is the float
-    of pricing every leaf. A candidate with an unpriced leaf is skipped
-    when its priced leaves' float sum reaches bar = best * (1 + 4
-    gamma(k)) + _TINY (gamma as in _LeafBounds). Proof that it cannot win:
-    costs are >= 0 and every float sum of at most k of them, recursive or
-    compensated, is within gamma(k) of its exact sum, so its total is at
-    least (1 - gamma(k)) / (1 + gamma(k)) * bar >= best.
+    candidate of least total wins (strict ``<``); a total is the
+    correctly rounded ``math.fsum`` of exactly rounded leaf costs.
+    Candidates are enumerated on bitmasks (each line's "<= theta" members
+    and band members), and a per-call memo prices each distinct leaf once.
+    A candidate with an unpriced leaf is skipped when its priced leaves
+    already sum to at least the best total: costs are >= 0 and a correctly
+    rounded sum is monotone, so its total could not be less.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -480,6 +411,7 @@ def solve_approx(
     if not cuts:
         return exact_fallback()
     pts = ds.points
+    scale, cols = _int_columns(pts)
     # per grid line: the members of its "<= theta" side and of its band
     lows = [sum(1 << i for i, p in enumerate(pts) if p[c.dim - 1] <= c.theta) for c in cuts]
     band_masks = [sum(1 << i for i in band) for dim_bands in bands for band in dim_bands]
@@ -501,7 +433,6 @@ def solve_approx(
                     yield (o, *opts_l, *opts_r), leaves_l + leaves_r, used_l | used_r
 
     costs_of: dict[int, float] = {}  # leaf mask after band removal -> cost
-    grow = 1 + 4 * _gamma(k)
     best: tuple[float, TreeShape, tuple[int, ...], int] | None = None
     for shape in enumerate_shapes(k):
         assert shape_leaf_count(shape) == k
@@ -511,16 +442,15 @@ def solve_approx(
                 continue
             costs = [costs_of.get(leaf) for leaf in leaves]
             if None in costs:
-                if best is not None and sum(c for c in costs if c is not None) >= bar:
+                if best is not None and math.fsum(c for c in costs if c is not None) >= best[0]:
                     continue
                 for t, leaf in enumerate(leaves):
                     if costs[t] is None:
-                        costs[t] = costs_of[leaf] = cluster_cost(
-                            [p for i, p in enumerate(pts) if leaf >> i & 1], kind)
-            cost = sum(costs)
+                        costs[t] = costs_of[leaf] = _exact_cost(
+                            cols, _members(leaf, ds.n), scale, kind)
+            cost = math.fsum(costs)
             if best is None or cost < best[0]:
                 best = (cost, shape, opts, used)
-                bar = cost * grow + _TINY
     if best is None:
         return exact_fallback()
     cost, shape, opts, used = best

@@ -1,6 +1,7 @@
 """Shared instance factories and reference solvers for the test suite."""
 from __future__ import annotations
 
+import math
 import random
 
 from treeclust import (
@@ -133,9 +134,10 @@ def reference_split_search(ds, k: int, kind):
 
 def reference_solve_approx(ds, k: int, kind, epsilon: float) -> ApproxResult:
     """``solve_approx`` as it was before the bitmask enumeration: every grid
-    tree built as nodes over id lists, its used bands united as sets and
-    every leaf priced with ``cluster_cost``. Kept as the reference that the
-    production search must match bit for bit."""
+    tree built as nodes over id lists, its used bands united as sets,
+    every leaf priced with ``cluster_cost`` and the leaves summed with
+    ``math.fsum``. Kept as the reference that the production search must
+    match bit for bit."""
     nprime = int(epsilon * ds.n / k)
 
     def exact_fallback() -> ApproxResult:
@@ -175,7 +177,7 @@ def reference_solve_approx(ds, k: int, kind, epsilon: float) -> ApproxResult:
             leaves = [[i for i in leaf if i not in removed] for leaf in leaves]
             if any(not leaf for leaf in leaves):
                 continue
-            cost = sum(cluster_cost([pts[i] for i in leaf], kind) for leaf in leaves)
+            cost = math.fsum(cluster_cost([pts[i] for i in leaf], kind) for leaf in leaves)
             if best is None or cost < best[0]:
                 best = (cost, node, frozenset(removed))
     if best is None:

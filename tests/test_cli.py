@@ -173,13 +173,26 @@ class TestFit:
         ["baseline", "--k", "2"],
     ])
     def test_overflowing_cost_exits_two(self, tmp_path, argv):
+        # every 2-clustering, with or without one outlier, merges two of the
+        # three groups, so its exact cost (about 1e400) overflows a float
         p = tmp_path / "big.csv"
-        p.write_text("x1\n1e200\n-1e200\n1e200\n0\n")
+        p.write_text("x1\n-1e200\n-1e200\n0\n0\n1e200\n1e200\n")
         proc = run_cli(argv[0], str(p), *argv[1:])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "too large" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_approx_drops_the_point_that_overflows(self, tmp_path):
+        # keeping 0 with either 1e200 group would cost about 1e400; the
+        # grid tree that drops it costs nothing
+        p = tmp_path / "big.csv"
+        p.write_text("x1\n1e200\n-1e200\n1e200\n0\n")
+        proc = run_cli("fit", str(p), "--k", "2", "--method", "approx", "--epsilon", "0.5")
+        assert proc.returncode == 0
+        result = json.loads(proc.stdout)["result"]
+        assert result["cost"] == 0.0
+        assert result["removed"] == [3]
 
 
 class TestBaseline:

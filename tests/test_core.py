@@ -1,4 +1,6 @@
 import math
+import random
+import statistics
 
 import pytest
 from hypothesis import given, strategies as st
@@ -91,6 +93,17 @@ def test_medians_cost_uses_lower_median():
     assert cluster_cost(pts, CostKind.MEDIANS) == pytest.approx(5.0)
     # even count: lower median
     assert centroid([(1.0,), (2.0,)], CostKind.MEDIANS) == (1.0,)
+
+
+def test_median_centroid_is_median_low():
+    rng = random.Random(11)
+    for _ in range(200):
+        n, d = rng.randint(1, 9), rng.randint(1, 3)
+        pool = [0.0, -0.0, 1.0, -2.5, rng.random(), rng.randint(-3, 3)]
+        pts = [tuple(rng.choice(pool) for _ in range(d)) for _ in range(n)]
+        want = tuple(statistics.median_low([p[i] for p in pts]) for i in range(d))
+        # repr tells 0.0 from -0.0 and 1 from 1.0
+        assert repr(centroid(pts, CostKind.MEDIANS)) == repr(want)
 
 
 def test_empty_cluster_cost_rejected():

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +23,6 @@ from treeclust import (
     validate_tree,
 )
 from treeclust import explainable
-from treeclust.core import _prefix_masks, _splits
 from helpers import (
     random_points,
     reference_solve_approx,
@@ -156,18 +156,18 @@ def _node(dim, theta, left, right):
 
 
 # Tie-heavy integer grids (coordinates 0..3, n <= 12) with the trees and
-# costs that both exact solvers returned before they shared one search:
-# (seed, n, d, k, kind) -> (cost, tree JSON).
+# costs that both exact solvers returned before they shared one search
+# (costs since exactly rounded): (seed, n, d, k, kind) -> (cost, tree JSON).
 GOLDEN = {
     (101, 10, 2, 3, "means"): (
-        5.733333333333334,
+        5.733333333333333,
         _node(2, 1.0, _node(1, 2.0, _leaf(1), _leaf(2)), _leaf(3)),
     ),
     (102, 12, 2, 3, "medians"): (
         8.0,
         _node(1, 1.0, _node(2, 1.0, _leaf(1), _leaf(2)), _leaf(3)),
     ),
-    (103, 9, 1, 2, "means"): (1.5499999999999998, _node(1, 1.0, _leaf(1), _leaf(2))),
+    (103, 9, 1, 2, "means"): (1.55, _node(1, 1.0, _leaf(1), _leaf(2))),
     (104, 12, 2, 2, "medians"): (10.0, _node(2, 0.0, _leaf(1), _leaf(2))),
     (105, 11, 3, 3, "means"): (
         10.933333333333334,
@@ -201,91 +201,94 @@ class TestGolden:
         assert res.rank_grid == ((1.0, 1.0, 1.0, 2.0, 3.0, 3.0), (0.0, 0.0, 0.0, 1.0, 2.0, 3.0))
 
 
-def _compensated_sum(xs):
-    """CPython 3.12's float ``sum``: Neumaier's compensated summation."""
-    total = 0.0
-    comp = 0.0
-    for x in xs:
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    if comp and math.isfinite(comp):
-        total += comp
-    return total
-
-
-def _compensated_cost(pts, kind):
-    """``cluster_cost`` with ``sum`` replaced by _compensated_sum."""
-    total = 0.0
+def _exact(pts, kind):
+    """The cost of ``pts`` as an exact Fraction, from its definition."""
+    total = Fraction(0)
     for col in zip(*pts):
+        xs = [Fraction(c) for c in col]
         if kind is CostKind.MEANS:
-            m = _compensated_sum(col) / len(col)
-            total += _compensated_sum((c - m) ** 2 for c in col)
+            mean = sum(xs) / len(xs)
+            total += sum((x - mean) ** 2 for x in xs)
         else:
-            med = sorted(col)[(len(col) - 1) // 2]
-            total += _compensated_sum(abs(c - med) for c in col)
+            med = sorted(xs)[(len(xs) - 1) // 2]
+            total += sum(abs(x - med) for x in xs)
     return total
 
 
-def _sweep_all(bounds, pts, mask):
-    """Sweep every dimension of the state ``mask`` both ways."""
-    by_dim = {}
-    for dim, lmask, _ in _splits(mask, _prefix_masks(pts)):
-        by_dim.setdefault(dim, []).append(lmask)
-    for dim, lefts in by_dim.items():
-        bounds.sweep(mask, dim, [m.bit_count() for m in lefts], lefts, True)
-        rights = [mask ^ m for m in reversed(lefts)]
-        bounds.sweep(mask, dim, [m.bit_count() for m in rights], rights, False)
+def _exactness_inputs():
+    """Offsets that dwarf the spread, tiny scales, signed zeros, duplicates,
+    int coordinates (as Dataset(...) keeps them without from_rows), ints
+    beyond 2**53 and floats whose squares dwarf 2**800."""
+    rng = random.Random(41)
+    variants = [(0.0, 1.0), (1e6, 1.0), (1e6, 1e-3), (0.0, 1e-6), (-7.25, 0.3)]
+    for case in range(60):
+        offset, scale = variants[case % len(variants)]
+        n, d = rng.randint(2, 12), rng.randint(1, 3)
+        if case % 6 == 5:
+            pts = tuple(tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(n))
+        else:
+            pts = tuple(
+                tuple(offset + scale * rng.choice([0.0, -0.0, rng.random(), 1.0, 2.0])
+                      for _ in range(d))
+                for _ in range(n)
+            )
+        yield pts + pts[: rng.randint(0, 3)]
+    big = 2.0**450
+    yield ((0.5,), (2**60 + 1,), (3,), (2**60,))
+    yield ((1.0,), (big,), (2.0,), (-big,))
 
 
-class TestLeafBounds:
+class TestExactCosts:
+    """Every cost is the float nearest the exact cost, whichever path
+    prices it; the exact cost is computed here with fractions."""
+
     @pytest.mark.parametrize("kind", BOTH_KINDS)
-    def test_interval_holds_the_float_cost(self, kind):
-        rng = random.Random(41)
-        variants = [(0.0, 1.0), (1e6, 1.0), (1e6, 1e-3), (0.0, 1e-6), (-7.25, 0.3)]
-        checked = 0
-        for case in range(150):
-            offset, scale = variants[case % len(variants)]
-            n, d = rng.randint(2, 24), rng.randint(1, 3)
-            if case % 6 == 5:
-                # int coordinates, as Dataset(...) keeps them without from_rows
-                pts = tuple(tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(n))
-            else:
-                pts = tuple(
-                    tuple(offset + scale * rng.choice([0.0, -0.0, rng.random(), 1.0, 2.0])
-                          for _ in range(d))
-                    for _ in range(n)
-                )
-            pts = pts + pts[: rng.randint(0, 3)]  # duplicates
-            ds = Dataset(pts)
-            known = {}
-            bounds = explainable._LeafBounds.of(ds.points, kind, known)
-            assert bounds is not None
-            for _ in range(3):
-                _sweep_all(bounds, ds.points, rng.randrange(1, 1 << ds.n))
-            for side, (lo, hi) in known.items():
-                leaf = [p for i, p in enumerate(ds.points) if side >> i & 1]
-                for cost in (cluster_cost(leaf, kind), _compensated_cost(leaf, kind)):
-                    assert lo <= cost <= hi, (pts, side, lo, cost, hi)
-                # tight enough to filter (the rounded mean's shift widens
-                # MEANS intervals when the offset dwarfs the spread)
-                assert hi - lo <= 1e-9 * hi + 1e-20 * (1 + abs(offset)) ** 2
-                checked += 1
-        assert checked > 3000
+    def test_cluster_cost(self, kind):
+        rng = random.Random(42)
+        for pts in _exactness_inputs():
+            for _ in range(5):
+                part = rng.sample(pts, rng.randint(1, len(pts)))
+                assert cluster_cost(part, kind) == float(_exact(part, kind)), part
 
-    def test_refused_data_is_priced_leaf_by_leaf(self):
-        big = 2.0**450
-        for pts in ([(0.5,), (2**60 + 1,), (3,), (2**60,)], [(1.0,), (big,), (2.0,), (-big,)]):
-            ds = Dataset(tuple(pts))
-            assert explainable._LeafBounds.of(ds.points, CostKind.MEANS, {}) is None
-            for kind in BOTH_KINDS:
-                cost, node = reference_split_search(ds, 2, kind)
-                got = solve_branching(ds, 2, kind)
-                assert repr(got.cost) == repr(cost)
-                assert got.tree == explainable._finish(node, ds, cost, kind).tree
+    @pytest.mark.parametrize("kind", BOTH_KINDS)
+    def test_every_solver_leaf(self, kind, monkeypatch):
+        priced = []  # (member ids, cost) of every leaf a solver priced
+        real_sweep, real_exact = explainable._LeafCosts.sweep, explainable._exact_cost
+
+        def sweep(self, mask, dim, sizes, sides, forward):
+            real_sweep(self, mask, dim, sizes, sides, forward)
+            priced.extend((explainable._members(side, self.n), self.known[side])
+                          for side in sides)
+
+        def exact(cols, ids, scale, kind):
+            cost = real_exact(cols, ids, scale, kind)
+            priced.append((list(ids), cost))
+            return cost
+
+        monkeypatch.setattr(explainable._LeafCosts, "sweep", sweep)
+        monkeypatch.setattr(explainable, "_exact_cost", exact)
+        counts = Counter()
+        for pts in _exactness_inputs():
+            ds = Dataset(pts)
+            for k in (1, 2, 3):
+                priced.clear()
+                try:
+                    res = solve_dp(ds, k, kind, force=True)
+                except ValueError:
+                    continue
+                cost, node = reference_split_search(ds, k, kind)
+                assert repr(res.cost) == repr(cost)
+                assert res.tree == explainable._finish(node, ds, cost, kind).tree
+                counts["search"] += len(priced)
+                for ids, cost in priced:
+                    assert cost == float(_exact([pts[i] for i in ids], kind)), (pts, ids)
+                if k > 1 and ds.n >= 8:
+                    priced.clear()
+                    solve_approx(ds, k, kind, 0.5)
+                    counts["approx"] += len(priced)
+                    for ids, cost in priced:
+                        assert cost == float(_exact([pts[i] for i in ids], kind)), (pts, ids)
+        assert counts["search"] > 2000 and counts["approx"] > 1500, counts
 
 
 class TestSplitSearch:
@@ -330,33 +333,51 @@ class TestSplitSearch:
                 assert got.tree == explainable._finish(node, ds, cost, kind).tree
 
     def test_two_leaf_layer_prices_few_leaves(self, monkeypatch):
-        calls = [0]
-        real = explainable.cluster_cost
+        calls = Counter()
+        real_sweep, real_exact = explainable._LeafCosts.sweep, explainable._exact_cost
 
-        def counting(pts, kind):
-            calls[0] += 1
-            return real(pts, kind)
+        def sweep(self, *args):
+            calls["sweep"] += 1
+            real_sweep(self, *args)
 
-        monkeypatch.setattr(explainable, "cluster_cost", counting)
+        def exact(*args):
+            calls["leaf"] += 1
+            return real_exact(*args)
+
+        monkeypatch.setattr(explainable._LeafCosts, "sweep", sweep)
+        monkeypatch.setattr(explainable, "_exact_cost", exact)
         ds = Dataset(random_points(random.Random(44), 120, 2, hi=10**6))
         solve_branching(ds, 3, CostKind.MEDIANS)
-        # pricing every leaf of every two-leaf state takes about 26,700 calls
-        assert calls[0] < 2000
+        # 668 sweeps and 158 single leaves; without the leaf-cost map 1,608
+        # and 441; pricing every leaf of every two-leaf state takes about
+        # 26,700 single leaves
+        assert calls["sweep"] < 1000 and calls["leaf"] < 300, calls
 
-    def test_releases_its_maps(self):
+    def test_releases_its_maps(self, monkeypatch):
+        class Cost(float):
+            """A float that the cyclic garbage collector tracks."""
+
+        real = explainable._exact_cost
+        monkeypatch.setattr(explainable, "_exact_cost", lambda *args: Cost(real(*args)))
         ds = Dataset(random_points(random.Random(45), 40, 2, hi=10**6))
         flat = Dataset.from_rows([(0.0, 0.0)] * 5)
         gc.collect()
         gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             solve_branching(ds, 3, CostKind.MEANS)
             with pytest.raises(ValueError):
                 solve_branching(flat, 3, CostKind.MEANS)
-            left_over = gc.collect()
+            gc.collect()
+            left_over = list(gc.garbage)
         finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
             gc.enable()
-        # the memo held about 8,500 objects after these two solves
-        assert left_over < 200
+        # the memo held about 8,500 objects after these two solves and the
+        # leaf-cost map 69 costs of single leaves
+        assert len(left_over) < 200
+        assert not any(isinstance(obj, Cost) for obj in left_over)
 
 
 class TestSolveApprox:
@@ -461,13 +482,13 @@ class TestSolveApprox:
 
     def test_leaf_memo_prices_few_leaves(self, monkeypatch):
         calls = [0]
-        real = explainable.cluster_cost
+        real = explainable._exact_cost
 
-        def counting(pts, kind):
+        def counting(*args):
             calls[0] += 1
-            return real(pts, kind)
+            return real(*args)
 
-        monkeypatch.setattr(explainable, "cluster_cost", counting)
+        monkeypatch.setattr(explainable, "_exact_cost", counting)
         ds = Dataset(random_points(random.Random(47), 66, 2, hi=10**6))
         solve_approx(ds, 3, CostKind.MEANS, 0.1)
         # pricing every leaf of every grid tree takes 16,104 calls
@@ -477,9 +498,8 @@ class TestSolveApprox:
         class Cost(float):
             """A float that the cyclic garbage collector tracks."""
 
-        real = explainable.cluster_cost
-        monkeypatch.setattr(explainable, "cluster_cost",
-                            lambda pts, kind: Cost(real(pts, kind)))
+        real = explainable._exact_cost
+        monkeypatch.setattr(explainable, "_exact_cost", lambda *args: Cost(real(*args)))
         ds = Dataset(random_points(random.Random(47), 66, 2, hi=10**6))
         gc.collect()
         gc.disable()
