@@ -1,20 +1,19 @@
 """Optimal and approximate explainable clustering.
 
 Solvers for minimizing the means/medians cost over clusterings induced by
-threshold trees with k nonempty leaves. The two exact solvers,
-solve_branching (recursive branching search) and solve_dp (dynamic
-program over point subsets), run one memoized split search keyed by
-member bitmask and leaf quota, so they return the same tree; they differ
-only in their guard rails. A state with two leaves left prices its cuts
-by one sorted sweep per dimension and direction. Every leaf cost is the
-float nearest the exact cost (core._exact_cost), so a sweep's value is
-the cost itself and trees and tie-breaks are those of pricing every leaf
-with cluster_cost. solve_approx is an outlier-tolerant grid
-approximation that may drop up to an epsilon fraction of the points. It
-enumerates its grid trees on member bitmasks, prices each distinct leaf
-once per call from a memo, sums leaves with math.fsum and skips a tree
-whose already priced leaves cost at least the best total, so its result
-is that of pricing every leaf of every tree.
+threshold trees with k nonempty leaves. All of them run one memoized
+split search keyed by member bitmask and leaf quota (_split_search). The
+two exact solvers, solve_branching (recursive branching search) and
+solve_dp (dynamic program over point subsets), search every canonical cut
+and return the same tree; they differ only in their guard rails. A state
+with two leaves left prices its canonical cuts by one sorted sweep per
+dimension and direction. Every leaf cost is the float nearest the exact
+cost (core._exact_cost), so a sweep's value is the cost itself and trees
+and tie-breaks are those of pricing every leaf with cluster_cost; a leaf
+whose cost overflows a float is priced as inf. solve_approx is an
+outlier-tolerant approximation that searches only the cuts of a
+per-dimension rank grid, each of which drops its band of points from its
+own node, so it removes at most an epsilon fraction of the points.
 """
 from __future__ import annotations
 
@@ -22,8 +21,8 @@ import math
 import random
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate, groupby, repeat
+from operator import itemgetter, truediv
 
 from .core import (
     CostKind,
@@ -38,17 +37,7 @@ from .core import (
     centroid,
     cluster_cost,
 )
-from .tree import (
-    Internal,
-    Leaf,
-    ThresholdTree,
-    TreeNode,
-    TreeShape,
-    enumerate_shapes,
-    shape_leaf_count,
-    tree_evaluate,
-    tree_from_shape,
-)
+from .tree import Internal, Leaf, ThresholdTree, TreeNode, tree_evaluate
 
 BRANCH_MAX_K = 8
 DP_MAX_N = 40
@@ -122,13 +111,17 @@ class _LeafCosts:
         self.known: dict[int, float] = {}
 
     def leaf(self, mask: int) -> float:
-        """The cost of the member set ``mask``, from the map if it is there."""
+        """The cost of the member set ``mask``, from the map if it is there;
+        inf when it overflows a float (no finite-cost tree has that leaf)."""
         cost = self.known.get(mask)
         if cost is None:
             if len(self.known) > _KNOWN_MAX:
                 self.known.clear()
-            cost = self.known[mask] = _exact_cost(
-                self.cols, _members(mask, self.n), self.scale, self.kind)
+            try:
+                cost = _exact_cost(self.cols, _members(mask, self.n), self.scale, self.kind)
+            except OverflowError:
+                cost = _INF
+            self.known[mask] = cost
         return cost
 
     def sweep(self, mask: int, dim: int, sizes: list[int], sides: list[int],
@@ -149,7 +142,7 @@ class _LeafCosts:
                     _sorted_l1(vals, sizes, nums, 1 if forward else -1)
                 else:
                     _running_l1(vals, sizes, nums)
-            costs = [num / self.scale for num in nums]
+            dens = repeat(self.scale)
         else:
             total = list(accumulate([self.squares[i] for i in ids], initial=0))
             nums = [m * total[m] for m in sizes]
@@ -157,7 +150,11 @@ class _LeafCosts:
                 acc = list(accumulate([col[i] for i in ids], initial=0))
                 nums = [num - acc[m] * acc[m] for num, m in zip(nums, sizes)]
             den = self.scale * self.scale
-            costs = [num / (m * den) for num, m in zip(nums, sizes)]
+            dens = [m * den for m in sizes]
+        try:
+            costs = list(map(truediv, nums, dens))
+        except OverflowError:  # some side's cost overflows: price each alone
+            costs = [self.leaf(side) for side in sides]
         self.known.update(zip(sides, costs))
 
 
@@ -207,27 +204,40 @@ def _running_l1(vals: list[int], sizes: list[int], nums: list[int]) -> None:
         nums[t] += up_sum - low_sum - (lower[0] if m & 1 else 0)
 
 
-def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]:
-    """Optimal k-leaf threshold tree by memoized split search.
+def _split_search(
+    ds: Dataset, k: int, kind: CostKind, grid: list[tuple[int, int, int, int]] | None = None
+) -> tuple[float, TreeNode | None, int]:
+    """Least-cost k-leaf threshold tree by memoized split search, as
+    (cost, root, mask of the points the tree drops).
 
-    A state is a member bitmask plus a leaf quota s. Its cuts are those of
-    ``core._splits``: per dimension, every distinct member value except the
-    largest, ascending. The search tries s1 = 1..s-1, then dimensions,
-    then cuts; it skips a cut whose left optimum already reaches the best
-    total, and only a strictly better total replaces the incumbent, so
-    ties go to the first cut in that order.
+    A state is a member bitmask plus a leaf quota s; its optimum depends on
+    nothing else. Without a grid, its cuts are those of ``core._splits``:
+    per dimension, every distinct member value except the largest,
+    ascending. A grid (solve_approx's) gives per line its dimension, the
+    mask of the points "<= theta", its band's mask and the bit of a point
+    whose coordinate is theta; the state's cuts are then the lines in that
+    order, and a line drops its band's members from the state and splits
+    the rest (no cut when a side is left empty). The search tries
+    s1 = 1..s-1, then the cuts; it skips a cut whose left optimum already
+    reaches the best total, and only a strictly better total replaces the
+    incumbent, so ties go to the first cut in that order.
 
-    Leaf costs are exactly rounded and kept in one map (``_LeafCosts``).
-    A state with quota 2 prices all its cuts at once: per dimension a
-    forward sweep prices every left side and a backward sweep every right
-    side, each only when one of its sides is not in the map, and the state
-    takes the first cut of least total, as the loop would. The map is
-    dropped whenever it holds more than _KNOWN_MAX costs, which bounds its
-    memory; a dropped side is priced again when a state needs it.
+    Leaf costs are exactly rounded and kept in one map (``_LeafCosts``),
+    inf where they overflow a float. A state with quota 2 and canonical
+    cuts prices them all at once: per dimension a forward sweep prices
+    every left side and a backward sweep every right side, each only when
+    one of its sides is not in the map, and the state takes the first cut
+    of least total, as the loop would. The map is dropped whenever it holds
+    more than _KNOWN_MAX costs, which bounds its memory.
+
+    Without a grid, raises ValueError when the points have fewer than k
+    distinct positions and OverflowError when no tree has a finite cost.
+    With a grid, root is None when no grid tree has k nonempty leaves and
+    a finite cost.
     """
     pts = ds.points
     prefix = _prefix_masks(pts)
-    memo: dict[tuple[int, int], tuple[float, TreeNode | None]] = {}
+    memo: dict[tuple[int, int], tuple[float, TreeNode | None, int]] = {}
     costs = _LeafCosts(pts, kind)
     known = costs.known
 
@@ -236,7 +246,7 @@ def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]
         # member values (this keeps the sign of a zero)
         return Internal(Cut(dim, pts[(new & -new).bit_length() - 1][dim - 1]), left, right)
 
-    def two_leaves(mask: int) -> tuple[float, TreeNode | None]:
+    def two_leaves(mask: int) -> tuple[float, TreeNode | None, int]:
         splits = list(_splits(mask, prefix))
         if len(known) > _KNOWN_MAX:
             known.clear()
@@ -259,52 +269,69 @@ def _split_search(ds: Dataset, k: int, kind: CostKind) -> tuple[float, TreeNode]
         best = min(totals, default=_INF)
         if best == _INF:
             # no cut, or every total overflows: the loop keeps no incumbent
-            return best, None
+            return best, None, 0
         dim, _, new = splits[totals.index(best)]
-        return best, cut_node(dim, new, _LEAF, _LEAF)
+        return best, cut_node(dim, new, _LEAF, _LEAF), 0
 
-    def solve(mask: int, s: int) -> tuple[float, TreeNode | None]:
+    def grid_splits(mask: int) -> list[tuple[int, int, int, int, int]]:
+        splits = []
+        for dim, low, band, new in grid:
+            kept = mask & ~band
+            lmask = kept & low
+            if lmask and lmask != kept:
+                splits.append((dim, lmask, kept ^ lmask, lmask.bit_count(), new))
+        return splits
+
+    def solve(mask: int, s: int) -> tuple[float, TreeNode | None, int]:
         if s == 1:
-            return costs.leaf(mask), _LEAF
+            return costs.leaf(mask), _LEAF, 0
         hit = memo.get((mask, s))
         if hit is not None:
             return hit
-        if s == 2:
+        if grid is not None:
+            splits = grid_splits(mask)
+        elif s == 2:
             memo[(mask, s)] = ans = two_leaves(mask)
             return ans
-        splits = [
-            (dim, lmask, mask ^ lmask, lmask.bit_count(), new)
-            for dim, lmask, new in _splits(mask, prefix)
-        ]
+        else:
+            splits = [
+                (dim, lmask, mask ^ lmask, lmask.bit_count(), new)
+                for dim, lmask, new in _splits(mask, prefix)
+            ]
+        # a grid split's right side may hold fewer than size - nl: then it costs inf
         size = mask.bit_count()
         best = _INF
         best_node: TreeNode | None = None
+        dropped = 0
         for s1 in range(1, s):
             s2 = s - s1
             for dim, lmask, rmask, nl, new in splits:
                 if nl < s1 or size - nl < s2:
                     continue
-                cl, node_l = solve(lmask, s1)
+                cl, node_l, dropped_l = solve(lmask, s1)
                 if cl >= best:
                     continue
-                cr, node_r = solve(rmask, s2)
+                cr, node_r, dropped_r = solve(rmask, s2)
                 total = cl + cr
                 if total < best:
                     best = total
                     best_node = cut_node(dim, new, node_l, node_r)
-        memo[(mask, s)] = (best, best_node)
-        return best, best_node
+                    dropped = (mask ^ lmask ^ rmask) | dropped_l | dropped_r
+        memo[(mask, s)] = ans = (best, best_node, dropped)
+        return ans
 
     try:
-        cost, root = solve((1 << ds.n) - 1, k)
+        cost, root, dropped = solve((1 << ds.n) - 1, k)
     finally:
         # solve refers to itself, so without this the maps would live until
         # the next cyclic garbage collection
         memo.clear()
         known.clear()
-    if root is None:
-        raise ValueError("no explainable k-clustering: too few distinct points")
-    return cost, root
+    if root is None and grid is None:
+        if len(set(pts)) < k:
+            raise ValueError("no explainable k-clustering: too few distinct points")
+        raise OverflowError("every explainable k-clustering's cost overflows a float")
+    return cost, root, dropped
 
 
 def solve_branching(
@@ -314,7 +341,7 @@ def solve_branching(
 
     Runs the same memoized search as solve_dp; the two differ only in their
     guard rails (this one limits k). Raises ValueError when the points have
-    fewer than k distinct positions.
+    fewer than k distinct positions, OverflowError when no tree's cost fits.
     """
     if not 1 <= k <= ds.n:
         raise ValueError(f"k must be in 1..{ds.n}")
@@ -322,7 +349,7 @@ def solve_branching(
         raise LimitExceededError(
             f"branching solver limited to k <= {BRANCH_MAX_K} (use force to override)"
         )
-    cost, node = _split_search(ds, k, kind)
+    cost, node, _ = _split_search(ds, k, kind)
     return _finish(node, ds, cost, kind)
 
 
@@ -335,7 +362,7 @@ def solve_dp(
     Runs the same memoized search as solve_branching and returns the same
     tree, ties included; the two differ only in their guard rails (this
     one limits n and d). Raises ValueError when the points have fewer than
-    k distinct positions.
+    k distinct positions, OverflowError when no tree's cost fits.
     """
     if not 1 <= k <= ds.n:
         raise ValueError(f"k must be in 1..{ds.n}")
@@ -343,47 +370,55 @@ def solve_dp(
         raise LimitExceededError(
             f"dp solver limited to n <= {DP_MAX_N}, d <= {DP_MAX_D} (use force to override)"
         )
-    cost, node = _split_search(ds, k, kind)
+    cost, node, _ = _split_search(ds, k, kind)
     return _finish(node, ds, cost, kind)
 
 
 def _rank_grid(ds: Dataset, k: int, epsilon: float, nprime: int):
-    """Per dimension: grid thresholds (i*n'-th order statistics) and the
-    removal band (ids in rank positions i*n'+1 .. (i+1)*n') per grid line."""
+    """Per dimension and grid line: its threshold (the i*n'-th order
+    statistic), its removal band (ids in rank positions i*n'+1 .. (i+1)*n')
+    and its anchor (the id of the point at rank i*n')."""
     cap = math.ceil(2 * k / epsilon)
     count = min(ds.n // nprime, cap)
-    thresholds: list[list[float]] = []
-    bands: list[list[frozenset[int]]] = []
-    for dim in range(ds.d):
-        order = sorted(range(ds.n), key=lambda i: (ds.points[i][dim], i))
-        dim_thetas: list[float] = []
-        dim_bands: list[frozenset[int]] = []
-        for i in range(1, count + 1):
-            pos = i * nprime  # 1-based rank of the grid line
-            dim_thetas.append(ds.points[order[pos - 1]][dim])
-            dim_bands.append(frozenset(order[pos : pos + nprime]))
-        thresholds.append(dim_thetas)
-        bands.append(dim_bands)
-    return thresholds, bands
+    positions = range(nprime, count * nprime + 1, nprime)  # 1-based ranks
+    orders = [sorted(range(ds.n), key=lambda i: (ds.points[i][dim], i)) for dim in range(ds.d)]
+    anchors = [[order[pos - 1] for pos in positions] for order in orders]
+    thresholds = [[ds.points[i][dim] for i in row] for dim, row in enumerate(anchors)]
+    bands = [[frozenset(order[pos : pos + nprime]) for pos in positions] for order in orders]
+    return thresholds, bands, anchors
 
 
 def solve_approx(
     ds: Dataset, k: int, kind: CostKind, epsilon: float, *, force: bool = False
 ) -> ApproxResult:
     """Explainable clustering of all but at most an epsilon fraction of the
-    points, using only cuts on a per-dimension rank grid; no worse than the
-    optimal explainable cost of the full dataset.
+    points, using only cuts on a per-dimension rank grid.
 
-    Every shape, then every assignment of grid lines to its internal nodes
-    in preorder, is a candidate; it drops the bands of all its lines from
-    every leaf and counts only if no leaf is left empty. The first
-    candidate of least total wins (strict ``<``); a total is the
-    correctly rounded ``math.fsum`` of exactly rounded leaf costs.
-    Candidates are enumerated on bitmasks (each line's "<= theta" members
-    and band members), and a per-call memo prices each distinct leaf once.
-    A candidate with an unpriced leaf is skipped when its priced leaves
-    already sum to at least the best total: costs are >= 0 and a correctly
-    rounded sum is monotone, so its total could not be less.
+    With n' = floor(epsilon * n / k), dimension j has a grid line at the
+    value theta_i of its (i * n')-th order statistic, whose band is the n'
+    points of the next ranks. A grid cut drops the members of its band from
+    its own node and splits the rest by "<= theta_i"; the result is the
+    least-cost grid tree with k nonempty leaves, found by _split_search
+    (ties go to the first in s1, then grid line order). When n' is 0, or
+    no grid tree has k nonempty leaves and a finite cost, the result is
+    solve_branching's, with nothing removed and an empty rank grid.
+
+    Removal: each of the k - 1 internal nodes drops at most one band of n'
+    points, so at most (k - 1) * n' <= epsilon * n points are removed.
+
+    Cost: let T be any k-leaf tree on the full dataset and snap each cut
+    (j, theta) of T to the last grid line theta_i <= theta of dimension j.
+    A point with theta_i < x_j <= theta has rank above i * n' and below
+    (i + 1) * n' (line i + 1 lies above theta; past the last line fewer
+    than n' ranks remain), so it is in line i's band. By induction from the
+    root, each node's members are a subset of T's, since its band takes
+    every member the two cuts route apart; so each leaf is a subset of T's
+    leaf and costs no more (the set's mean or median serves the subset).
+    When every cut of T has such a line and no leaf is left empty, the
+    snapped tree is a grid tree, and the result costs at most T: at most
+    the full-data optimum when an optimal tree snaps so. When none does (a
+    cut below its dimension's first line, or a leaf inside the bands), the
+    cost can exceed that optimum.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -405,63 +440,25 @@ def solve_approx(
 
     if nprime == 0:
         return exact_fallback()
-    thresholds, bands = _rank_grid(ds, k, epsilon, nprime)
-    grid_out = tuple(tuple(ts) for ts in thresholds)
-    cuts = [Cut(dim, theta) for dim, ts in enumerate(thresholds, 1) for theta in ts]
-    if not cuts:
-        return exact_fallback()
+    thresholds, bands, anchors = _rank_grid(ds, k, epsilon, nprime)
     pts = ds.points
-    scale, cols = _int_columns(pts)
-    # per grid line: the members of its "<= theta" side and of its band
-    lows = [sum(1 << i for i, p in enumerate(pts) if p[c.dim - 1] <= c.theta) for c in cuts]
-    band_masks = [sum(1 << i for i in band) for dim_bands in bands for band in dim_bands]
-
-    def search(shape, mask: int):
-        """Yield (grid lines in preorder, leaf masks, used band mask) for every
-        grid-cut assignment of ``shape`` to the members of ``mask`` that
-        leaves no leaf empty before band removal."""
-        if not mask:
-            return
-        if shape == ():
-            yield (), [mask], 0
-            return
-        for o, low in enumerate(lows):
-            rights = list(search(shape[1], mask & ~low))
-            for opts_l, leaves_l, used_l in search(shape[0], mask & low) if rights else ():
-                used_l |= band_masks[o]
-                for opts_r, leaves_r, used_r in rights:
-                    yield (o, *opts_l, *opts_r), leaves_l + leaves_r, used_l | used_r
-
-    costs_of: dict[int, float] = {}  # leaf mask after band removal -> cost
-    best: tuple[float, TreeShape, tuple[int, ...], int] | None = None
-    for shape in enumerate_shapes(k):
-        assert shape_leaf_count(shape) == k
-        for opts, leaves, used in search(shape, (1 << ds.n) - 1):
-            leaves = [leaf & ~used for leaf in leaves]
-            if 0 in leaves:
-                continue
-            costs = [costs_of.get(leaf) for leaf in leaves]
-            if None in costs:
-                if best is not None and math.fsum(c for c in costs if c is not None) >= best[0]:
-                    continue
-                for t, leaf in enumerate(leaves):
-                    if costs[t] is None:
-                        costs[t] = costs_of[leaf] = _exact_cost(
-                            cols, _members(leaf, ds.n), scale, kind)
-            cost = math.fsum(costs)
-            if best is None or cost < best[0]:
-                best = (cost, shape, opts, used)
-    if best is None:
+    grid = [
+        (dim, sum(1 << i for i, p in enumerate(pts) if p[dim - 1] <= theta),
+         sum(1 << i for i in band), 1 << anchor)
+        for dim in range(1, ds.d + 1)
+        for theta, band, anchor in zip(thresholds[dim - 1], bands[dim - 1], anchors[dim - 1])
+    ]
+    cost, root, dropped = _split_search(ds, k, kind, grid)
+    if root is None:
         return exact_fallback()
-    cost, shape, opts, used = best
-    removed = frozenset(i for i in range(ds.n) if used >> i & 1)
+    removed = frozenset(i for i in range(ds.n) if dropped >> i & 1)
     return ApproxResult(
         kept=frozenset(range(ds.n)) - removed,
         removed=removed,
-        tree=tree_from_shape(shape, [cuts[o] for o in opts], range(1, k + 1)),
+        tree=ThresholdTree(_relabel(root)),
         cost=cost,
         epsilon=epsilon,
-        rank_grid=grid_out,
+        rank_grid=tuple(tuple(ts) for ts in thresholds),
     )
 
 

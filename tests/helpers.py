@@ -133,11 +133,13 @@ def reference_split_search(ds, k: int, kind):
 
 
 def reference_solve_approx(ds, k: int, kind, epsilon: float) -> ApproxResult:
-    """``solve_approx`` as it was before the bitmask enumeration: every grid
-    tree built as nodes over id lists, its used bands united as sets,
-    every leaf priced with ``cluster_cost`` and the leaves summed with
-    ``math.fsum``. Kept as the reference that the production search must
-    match bit for bit."""
+    """``solve_approx`` by enumeration: every shape, then every assignment of
+    grid lines to its internal nodes, built as nodes over id lists. Each
+    line drops its band from the ids of its own node and splits the rest
+    by "<= theta"; a tree counts only if no leaf is left empty. Every leaf
+    is priced with ``cluster_cost``, the leaves are summed with
+    ``math.fsum`` and the first tree of least total wins. Kept as the
+    reference that the memoized search must match in cost."""
     nprime = int(epsilon * ds.n / k)
 
     def exact_fallback() -> ApproxResult:
@@ -147,43 +149,42 @@ def reference_solve_approx(ds, k: int, kind, epsilon: float) -> ApproxResult:
 
     if nprime == 0:
         return exact_fallback()
-    thresholds, bands = _rank_grid(ds, k, epsilon, nprime)
-    options = [
-        (dim, i) for dim in range(1, ds.d + 1) for i in range(len(thresholds[dim - 1]))
+    thresholds, bands, _ = _rank_grid(ds, k, epsilon, nprime)
+    lines = [
+        (dim, theta, band)
+        for dim in range(1, ds.d + 1)
+        for theta, band in zip(thresholds[dim - 1], bands[dim - 1])
     ]
-    if not options:
-        return exact_fallback()
     pts = ds.points
-    best = None
 
-    def search(shape, ids, used):
-        if shape == ():
-            yield Leaf(0), [ids], list(used)
+    def search(shape, ids):
+        """Yield (node, leaves, dropped ids) for every grid tree of ``shape``
+        on the points ``ids`` that leaves no leaf empty."""
+        if not ids:
             return
-        for dim, gi in options:
-            theta = thresholds[dim - 1][gi]
-            left_ids = [i for i in ids if pts[i][dim - 1] <= theta]
-            right_ids = [i for i in ids if pts[i][dim - 1] > theta]
-            for nl, leaves_l, used_l in search(shape[0], left_ids, used + [(dim, gi)]):
-                for nr, leaves_r, used_r in search(shape[1], right_ids, used_l):
-                    yield Internal(Cut(dim, theta), nl, nr), leaves_l + leaves_r, used_r
+        if shape == ():
+            yield Leaf(0), [ids], frozenset()
+            return
+        for dim, theta, band in lines:
+            kept = [i for i in ids if i not in band]
+            left = [i for i in kept if pts[i][dim - 1] <= theta]
+            right = [i for i in kept if pts[i][dim - 1] > theta]
+            rights = list(search(shape[1], right))
+            for nl, leaves_l, dropped_l in search(shape[0], left):
+                for nr, leaves_r, dropped_r in rights:
+                    yield (Internal(Cut(dim, theta), nl, nr), leaves_l + leaves_r,
+                           band.intersection(ids) | dropped_l | dropped_r)
 
-    all_ids = list(range(ds.n))
+    best = None
     for shape in enumerate_shapes(k):
-        for node, leaves, used in search(shape, all_ids, []):
-            removed = set()
-            for dim, gi in used:
-                removed |= bands[dim - 1][gi]
-            leaves = [[i for i in leaf if i not in removed] for leaf in leaves]
-            if any(not leaf for leaf in leaves):
-                continue
+        for node, leaves, dropped in search(shape, list(range(ds.n))):
             cost = math.fsum(cluster_cost([pts[i] for i in leaf], kind) for leaf in leaves)
             if best is None or cost < best[0]:
-                best = (cost, node, frozenset(removed))
+                best = (cost, node, dropped)
     if best is None:
         return exact_fallback()
     cost, node, removed = best
-    return ApproxResult(frozenset(all_ids) - removed, removed,
+    return ApproxResult(frozenset(range(ds.n)) - removed, removed,
                         ThresholdTree(_relabel(node)), cost, epsilon,
                         tuple(tuple(ts) for ts in thresholds))
 

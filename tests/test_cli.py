@@ -183,6 +183,15 @@ class TestFit:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("method", ["dp", "branch"])
+    def test_overflowing_leaves_leave_the_finite_optimum(self, tmp_path, method):
+        # some 3-clusterings cost about 1e400; the optimum costs nothing
+        p = tmp_path / "big.csv"
+        p.write_text("x1\n-1e200\n-1e200\n1e200\n1e200\n0\n")
+        proc = run_cli("fit", str(p), "--k", "3", "--method", method)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["cost"] == 0.0
+
     def test_approx_drops_the_point_that_overflows(self, tmp_path):
         # keeping 0 with either 1e200 group would cost about 1e400; the
         # grid tree that drops it costs nothing

@@ -10,6 +10,7 @@ import pytest
 from treeclust import (
     CostKind,
     Dataset,
+    Leaf,
     LimitExceededError,
     brute_explainable,
     brute_unconstrained,
@@ -78,6 +79,21 @@ class TestSolveBranching:
         with pytest.raises(ValueError, match="too few distinct points"):
             solver(ds, 3, CostKind.MEANS)
         assert solver(ds, 2, CostKind.MEANS).cost == 0.0
+
+    @pytest.mark.parametrize("solver", [solve_branching, solve_dp])
+    def test_overflowing_leaves_leave_the_finite_optimum(self, solver):
+        # a leaf holding 0 and a 1e200 pair costs about 1e400, and the search
+        # prices some such leaf before it reaches the optimum
+        ds = Dataset.from_rows([(-1e200,), (-1e200,), (1e200,), (1e200,), (0,)])
+        res = solver(ds, 3, CostKind.MEANS)
+        assert res.cost == 0.0
+        assert sorted(map(sorted, res.clusters.values())) == [[0, 1], [2, 3], [4]]
+        # here a two-leaf sweep meets the side (1, 1e200)
+        assert solver(Dataset.from_rows([(0,), (1,), (1e200,)]), 2, CostKind.MEANS).cost == 0.5
+        with pytest.raises(OverflowError):
+            solver(ds, 2, CostKind.MEANS)  # every 2-clustering merges two groups
+        with pytest.raises(ValueError, match="too few distinct points"):
+            solver(Dataset(ds.points[:4]), 3, CostKind.MEANS)
 
     def test_guard_rail(self):
         ds = Dataset.from_rows([(float(i),) for i in range(12)])
@@ -353,6 +369,21 @@ class TestSplitSearch:
         # 26,700 single leaves
         assert calls["sweep"] < 1000 and calls["leaf"] < 300, calls
 
+    def test_one_leaf_states_fill_the_map(self, monkeypatch):
+        calls = [0]
+        real = explainable._LeafCosts.sweep
+
+        def sweep(self, *args):
+            calls[0] += 1
+            real(self, *args)
+
+        monkeypatch.setattr(explainable._LeafCosts, "sweep", sweep)
+        ds = Dataset(random_points(random.Random(45), 40, 2, hi=10**6))
+        solve_dp(ds, 4, CostKind.MEANS)
+        # 1,520 sweeps; 1,612 when one-leaf states read the map but do not
+        # fill it, so that quota-2 states sweep sides a quota-3 state priced
+        assert calls[0] < 1560
+
     def test_releases_its_maps(self, monkeypatch):
         class Cost(float):
             """A float that the cyclic garbage collector tracks."""
@@ -380,6 +411,27 @@ class TestSplitSearch:
         assert not any(isinstance(obj, Cost) for obj in left_over)
 
 
+def _grid_drops(node, ds, k, eps, ids):
+    """Every set of ids that the grid tree ``node`` removes from ``ids``
+    under some choice of a grid line for each of its cuts: each cut's line
+    drops its band's members of the node's ids."""
+    if isinstance(node, Leaf):
+        return {frozenset()}
+    thresholds, bands, _ = explainable._rank_grid(ds, k, eps, int(eps * ds.n / k))
+    dim, theta = node.cut.dim, node.cut.theta
+    drops = set()
+    for t, band in zip(thresholds[dim - 1], bands[dim - 1]):
+        if repr(t) != repr(theta):
+            continue
+        kept = [i for i in ids if i not in band]
+        left = [i for i in kept if ds.points[i][dim - 1] <= theta]
+        right = [i for i in kept if ds.points[i][dim - 1] > theta]
+        for dl in _grid_drops(node.left, ds, k, eps, left):
+            for dr in _grid_drops(node.right, ds, k, eps, right):
+                drops.add(band.intersection(ids) | dl | dr)
+    return drops
+
+
 class TestSolveApprox:
     def test_k1_keeps_everything(self):
         ds = gapped_1d()
@@ -401,9 +453,7 @@ class TestSolveApprox:
     def test_bounds_against_dp(self):
         rng = random.Random(34)
         for _ in range(15):
-            n, d, k = rng.randint(4, 22), rng.randint(1, 2), rng.randint(1, 3)
-            if k > n:
-                continue
+            n, d, k = rng.randint(4, 22), rng.randint(1, 2), rng.randint(1, 4)
             ds = Dataset(random_points(rng, n, d, hi=9))
             for kind in BOTH_KINDS:
                 try:
@@ -436,9 +486,10 @@ class TestSolveApprox:
             walk(res.tree.root)
 
     def test_matches_list_enumeration(self):
-        """Cost repr, tree JSON, removal, kept set and rank grid equal the
-        list-based enumeration on tie-heavy inputs (repeated thresholds,
-        duplicates, signed zeros, ints), fallbacks and refusals included."""
+        """Cost, fallback or refusal, and rank grid equal the enumeration of
+        every grid tree over id lists on tie-heavy inputs (repeated
+        thresholds, duplicates, signed zeros, ints); every removed set is
+        the union of its nodes' band members."""
         rng = random.Random(48)
         seen = Counter()
         for case in range(300):
@@ -464,11 +515,19 @@ class TestSolveApprox:
                     seen["refused"] += 1
                     continue
                 got = solve_approx(ds, k, kind, eps)
-                assert repr(got.cost) == repr(want.cost)
-                assert json.dumps(tree_to_json_obj(got.tree)) == json.dumps(
-                    tree_to_json_obj(want.tree))
-                assert (got.removed, got.kept) == (want.removed, want.kept)
+                assert math.isclose(got.cost, want.cost, rel_tol=1e-12), (got.cost, want.cost)
                 assert repr(got.rank_grid) == repr(want.rank_grid)
+                for res in (got, want):
+                    assert res.kept == frozenset(range(n)) - res.removed
+                    if any(res.rank_grid):
+                        assert res.removed in _grid_drops(res.tree.root, ds, k, eps, range(n))
+                    else:
+                        assert not res.removed
+                    clusters = [[pts[i] for i in ids if i in res.kept]
+                                for ids in tree_evaluate(res.tree, ds).values()]
+                    assert all(clusters)
+                    total = math.fsum(cluster_cost(c, kind) for c in clusters)
+                    assert math.isclose(total, res.cost, rel_tol=1e-12)
                 if int(eps * n / k) == 0:
                     seen["n' = 0"] += 1
                 elif not any(want.rank_grid):
@@ -478,7 +537,7 @@ class TestSolveApprox:
                     seen["repeated"] += any(len(set(ts)) < len(ts) for ts in want.rank_grid)
         assert min(seen["grid", k] for k in (1, 2, 3, 4)) >= 10
         assert seen["repeated"] >= 100
-        assert min(seen["n' = 0"], seen["no grid tree"], seen["refused"]) >= 3
+        assert min(seen["n' = 0"], seen["no grid tree"], seen["refused"]) >= 3, seen
 
     def test_leaf_memo_prices_few_leaves(self, monkeypatch):
         calls = [0]
@@ -491,8 +550,10 @@ class TestSolveApprox:
         monkeypatch.setattr(explainable, "_exact_cost", counting)
         ds = Dataset(random_points(random.Random(47), 66, 2, hi=10**6))
         solve_approx(ds, 3, CostKind.MEANS, 0.1)
-        # pricing every leaf of every grid tree takes 16,104 calls
-        assert calls[0] < 6000
+        # 2,407 calls; without the leaf-cost map 7,976; the enumeration of
+        # every grid tree with bands dropped from every leaf priced 4,389
+        # leaves from its own memo, and 16,104 without it
+        assert calls[0] < 3000
 
     def test_releases_its_memo(self, monkeypatch):
         class Cost(float):
@@ -508,7 +569,7 @@ class TestSolveApprox:
             left_over = gc.collect()
         finally:
             gc.enable()
-        # a memo that a reference cycle kept alive would hold about 4,400
+        # maps that a reference cycle kept alive would hold about 2,900
         assert left_over < 200
 
 

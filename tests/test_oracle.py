@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -106,3 +108,36 @@ class TestBruteUnconstrained:
         ds = Dataset(random_points(random.Random(5), 9, 1))
         with pytest.raises(LimitExceededError):
             brute_unconstrained(ds, 2, CostKind.MEANS)
+
+
+# The private names each reference may take from the solver modules: the
+# grid's definition and the leaf relabelling, never search logic.
+REFERENCES = {
+    Path(__file__).parent.parent / "src" / "treeclust" / "oracle.py": set(),
+    Path(__file__).parent / "helpers.py": {"_rank_grid", "_relabel"},
+}
+SOLVER_MODULES = {"explainable", "explanation"}
+
+
+@pytest.mark.parametrize("path", sorted(REFERENCES), ids=lambda p: p.name)
+def test_references_share_no_search_logic(path):
+    tree = ast.parse(path.read_text())
+    taken = set()  # private names read from a solver module
+    modules = set()  # names bound to a solver module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            from_solver = (node.module or "").rsplit(".", 1)[-1] in SOLVER_MODULES
+            for alias in node.names:
+                if from_solver and alias.name.startswith("_"):
+                    taken.add(alias.name)
+                elif alias.name in SOLVER_MODULES:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.rsplit(".", 1)[-1] in SOLVER_MODULES:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and ast.unparse(node.value) in modules):
+            taken.add(node.attr)
+    assert taken <= REFERENCES[path], taken - REFERENCES[path]
