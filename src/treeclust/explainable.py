@@ -153,9 +153,17 @@ class _LeafCosts:
             dens = [m * den for m in sizes]
         try:
             costs = list(map(truediv, nums, dens))
-        except OverflowError:  # some side's cost overflows: price each alone
-            costs = [self.leaf(side) for side in sides]
+        except OverflowError:  # some side's cost overflows: divide each alone
+            costs = list(map(_quotient, nums, dens))
         self.known.update(zip(sides, costs))
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den, or inf where that overflows a float."""
+    try:
+        return num / den
+    except OverflowError:
+        return _INF
 
 
 def _members(mask: int, n: int) -> list[int]:
@@ -232,8 +240,8 @@ def _split_search(
 
     Without a grid, raises ValueError when the points have fewer than k
     distinct positions and OverflowError when no tree has a finite cost.
-    With a grid, root is None when no grid tree has k nonempty leaves and
-    a finite cost.
+    With a grid, the cost is inf when no grid tree has k nonempty leaves
+    and a finite cost.
     """
     pts = ds.points
     prefix = _prefix_masks(pts)
@@ -327,7 +335,8 @@ def _split_search(
         # the next cyclic garbage collection
         memo.clear()
         known.clear()
-    if root is None and grid is None:
+    # a tree is found exactly when its cost is finite (at k = 1 root is a leaf)
+    if cost == _INF and grid is None:
         if len(set(pts)) < k:
             raise ValueError("no explainable k-clustering: too few distinct points")
         raise OverflowError("every explainable k-clustering's cost overflows a float")
@@ -425,32 +434,22 @@ def solve_approx(
     if not 1 <= k <= ds.n:
         raise ValueError(f"k must be in 1..{ds.n}")
     nprime = int(epsilon * ds.n / k)
-
-    def exact_fallback() -> ApproxResult:
+    cost = _INF
+    if nprime:
+        thresholds, bands, anchors = _rank_grid(ds, k, epsilon, nprime)
+        pts = ds.points
+        grid = [
+            (dim, sum(1 << i for i, p in enumerate(pts) if p[dim - 1] <= theta),
+             sum(1 << i for i in band), 1 << anchor)
+            for dim in range(1, ds.d + 1)
+            for theta, band, anchor in zip(thresholds[dim - 1], bands[dim - 1], anchors[dim - 1])
+        ]
+        cost, root, dropped = _split_search(ds, k, kind, grid)
+    if cost == _INF:
         # an empty rank grid in the result marks the exact branch
         res = solve_branching(ds, k, kind, force=force)
-        return ApproxResult(
-            kept=frozenset(range(ds.n)),
-            removed=frozenset(),
-            tree=res.tree,
-            cost=res.cost,
-            epsilon=epsilon,
-            rank_grid=tuple(() for _ in range(ds.d)),
-        )
-
-    if nprime == 0:
-        return exact_fallback()
-    thresholds, bands, anchors = _rank_grid(ds, k, epsilon, nprime)
-    pts = ds.points
-    grid = [
-        (dim, sum(1 << i for i, p in enumerate(pts) if p[dim - 1] <= theta),
-         sum(1 << i for i in band), 1 << anchor)
-        for dim in range(1, ds.d + 1)
-        for theta, band, anchor in zip(thresholds[dim - 1], bands[dim - 1], anchors[dim - 1])
-    ]
-    cost, root, dropped = _split_search(ds, k, kind, grid)
-    if root is None:
-        return exact_fallback()
+        cost, root, dropped = res.cost, res.tree.root, 0
+        thresholds = [[] for _ in range(ds.d)]
     removed = frozenset(i for i in range(ds.n) if dropped >> i & 1)
     return ApproxResult(
         kept=frozenset(range(ds.n)) - removed,

@@ -171,10 +171,12 @@ class TestFit:
         ["fit", "--k", "2", "--method", "dp"],
         ["fit", "--k", "2", "--method", "approx", "--epsilon", "0.5"],
         ["baseline", "--k", "2"],
+        ["fit", "--k", "1", "--method", "dp"],
+        ["fit", "--k", "1", "--method", "approx", "--epsilon", "0.5"],
     ])
     def test_overflowing_cost_exits_two(self, tmp_path, argv):
-        # every 2-clustering, with or without one outlier, merges two of the
-        # three groups, so its exact cost (about 1e400) overflows a float
+        # every 1- or 2-clustering, with or without one outlier, merges two of
+        # the three groups, so its exact cost (about 1e400) overflows a float
         p = tmp_path / "big.csv"
         p.write_text("x1\n-1e200\n-1e200\n0\n0\n1e200\n1e200\n")
         proc = run_cli(argv[0], str(p), *argv[1:])

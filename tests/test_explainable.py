@@ -92,8 +92,38 @@ class TestSolveBranching:
         assert solver(Dataset.from_rows([(0,), (1,), (1e200,)]), 2, CostKind.MEANS).cost == 0.5
         with pytest.raises(OverflowError):
             solver(ds, 2, CostKind.MEANS)  # every 2-clustering merges two groups
+        with pytest.raises(OverflowError):
+            solver(ds, 1, CostKind.MEANS)  # the one leaf holds every group
         with pytest.raises(ValueError, match="too few distinct points"):
             solver(Dataset(ds.points[:4]), 3, CostKind.MEANS)
+
+    @pytest.mark.parametrize("solver", [solve_branching, solve_dp])
+    def test_overflowing_sweeps_keep_the_sides_they_priced(self, solver, monkeypatch):
+        # with a tiny cap, a sweep that overflows must not drop the sides an
+        # earlier sweep of the same two-leaf state stored
+        rows = [(0,), (1,), (1e200,)]
+        want = [solver(Dataset.from_rows(rows), 2, CostKind.MEANS).cost]
+        rng = random.Random(47)
+        cases = [Dataset(tie_heavy_points(rng, rng.randint(5, 10), rng.randint(1, 2)))
+                 for _ in range(6)]
+        cases = [Dataset(tuple(tuple(x * 1e199 if x > 0 else x for x in p) for p in ds.points))
+                 for ds in cases]
+        for ds in cases:
+            for k in (2, 3):
+                try:
+                    want.append(solver(ds, k, CostKind.MEANS).cost)
+                except (ValueError, OverflowError) as exc:
+                    want.append(type(exc))
+        for cap in (0, 1, 8):
+            monkeypatch.setattr(explainable, "_KNOWN_MAX", cap)
+            got = [solver(Dataset.from_rows(rows), 2, CostKind.MEANS).cost]
+            for ds in cases:
+                for k in (2, 3):
+                    try:
+                        got.append(solver(ds, k, CostKind.MEANS).cost)
+                    except (ValueError, OverflowError) as exc:
+                        got.append(type(exc))
+            assert got == want
 
     def test_guard_rail(self):
         ds = Dataset.from_rows([(float(i),) for i in range(12)])
@@ -438,6 +468,11 @@ class TestSolveApprox:
         res = solve_approx(ds, 1, CostKind.MEANS, 0.5)
         assert res.removed == frozenset()
         assert res.cost == pytest.approx(cluster_cost(list(ds.points), CostKind.MEANS))
+
+    def test_k1_overflow_raises(self):
+        ds = Dataset.from_rows([(-1e200,), (0,), (1e200,)])
+        with pytest.raises(OverflowError):
+            solve_approx(ds, 1, CostKind.MEANS, 0.5)
 
     def test_nprime_zero_matches_branching(self):
         ds = gapped_1d()  # n=4, k=2, eps=0.3 -> n' = 0
