@@ -7,20 +7,23 @@ two exact solvers, solve_branching (recursive branching search) and
 solve_dp (dynamic program over point subsets), search every canonical cut
 and return the same tree; they differ only in their guard rails. A state
 with two leaves left prices its canonical cuts by one sorted sweep per
-dimension and direction. Every leaf cost is the float nearest the exact
-cost (core._exact_cost), so a sweep's value is the cost itself and trees
-and tie-breaks are those of pricing every leaf with cluster_cost; a leaf
-whose cost overflows a float is priced as inf. solve_approx is an
-outlier-tolerant approximation that searches only the cuts of a
-per-dimension rank grid, each of which drops its band of points from its
-own node, so it removes at most an epsilon fraction of the points.
+dimension and direction; a state with more searches each dimension's cuts
+best-first and skips those a monotone lower bound rules out. Every leaf
+cost is the float nearest the exact cost (core._exact_cost), so a sweep's
+value is the cost itself and trees and tie-breaks are those of pricing
+every leaf with cluster_cost; a leaf whose cost overflows a float is
+priced as inf. solve_approx is an outlier-tolerant approximation that
+searches only the cuts of a per-dimension rank grid, each of which drops
+its band of points from its own node, so it removes at most an epsilon
+fraction of the points.
 """
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 from itertools import accumulate, groupby, repeat
 from operator import itemgetter, truediv
 
@@ -44,6 +47,7 @@ DP_MAX_N = 40
 DP_MAX_D = 4
 
 _INF = math.inf
+_NORMAL = 2.0 ** -1022  # the least positive normal float
 _LEAF = Leaf(0)
 # leaf costs a split search keeps before it drops them all and prices anew
 _KNOWN_MAX = 1 << 16
@@ -225,10 +229,10 @@ def _split_search(
     mask of the points "<= theta", its band's mask and the bit of a point
     whose coordinate is theta; the state's cuts are then the lines in that
     order, and a line drops its band's members from the state and splits
-    the rest (no cut when a side is left empty). The search tries
-    s1 = 1..s-1, then the cuts; it skips a cut whose left optimum already
-    reaches the best total, and only a strictly better total replaces the
-    incumbent, so ties go to the first cut in that order.
+    the rest (no cut when a side is left empty). A state takes the first
+    cut of least total in the order s1 = 1..s-1, then the cuts. A grid
+    state tries them in that order, skips a cut whose left optimum already
+    reaches the best total and keeps only a strictly better total.
 
     Leaf costs are exactly rounded and kept in one map (``_LeafCosts``),
     inf where they overflow a float. A state with quota 2 and canonical
@@ -238,6 +242,43 @@ def _split_search(
     of least total, as the loop would. The map is dropped whenever it holds
     more than _KNOWN_MAX costs, which bounds its memory.
 
+    A canonical state with quota s >= 3 searches each (s1, dimension) run
+    of cuts best-first. For point sets with at least q distinct points, the
+    optimal q-leaf cost opt(X, q) does not grow as X shrinks: restricted to
+    a subset, no leaf of an optimal tree costs more, an empty leaf goes with
+    its cut, and a leaf with two distinct points is split (raising no cost)
+    until q leaves remain. So along a run, opt(L_i, s1) never decreases and
+    opt(R_i, s2) never increases, and opt(L_i, s1) + opt(R_j, s2) bounds
+    every total of the cuts i..j. Runs are cut to their feasible range,
+    where the sides have at least s1 and s2 distinct points (the inf
+    outside breaks monotonicity); a canonical state holds all copies of a
+    point or none, so its members among ``reps`` count its distinct points.
+    Both ends of a range are priced and the block between them is pushed
+    on a heap keyed by its bound; the least block is popped, its midpoint
+    priced and its halves pushed. A cut replaces the incumbent on (total,
+    position (s1, index)), which keeps the loop's first minimum, and a
+    block is dropped when bound / slack > best, or == best and it starts
+    after the incumbent.
+
+    Slack = 1 + (4k + 8)u, u = 2^-53, covers the rounding. Let F(X, q), the
+    search's optimum, be the least float total of its q-leaf trees of X.
+    A leaf's float is its exact cost times 1 + d, |d| <= u (below 2^-1022,
+    plus at most 2^-1075), and passes at most q - 1 float sums, which are
+    exact below 2^-1022. So with r = (1 + u) / (1 - u), restricting the
+    tree of F(L_m, s1) to L_i gives F(L_i, s1) <= r^s1 F(L_m, s1), likewise
+    on the right, and a bound, one more sum, is at most r^k times each
+    total of its block. If bound / slack rounds to best or more, each total
+    is at least slack * best / ((1 + u) r^k) > best, as (1 + u) r^k <=
+    1 + (2k + 2)u for k < 2^40; the spare (2k + 6)u * best exceeds the
+    subnormal terms (under 2k * 2^-1075) once best >= 2^-1022, and a
+    restricted tree's sum can overflow only for a total within 2k ulps of
+    the largest float, above best * slack. At best = 0, a total of 0 needs
+    every leaf to round to 0, and then so do the restricted trees' leaves:
+    a positive bound means positive totals, and the position rule settles
+    a bound of 0. Hence no block is dropped while 0 < best < 2^-1022, nor
+    one whose bound is inf (a finite total may lie in it, or no incumbent
+    exists yet).
+
     Without a grid, raises ValueError when the points have fewer than k
     distinct positions and OverflowError when no tree has a finite cost.
     With a grid, the cost is inf when no grid tree has k nonempty leaves
@@ -245,6 +286,8 @@ def _split_search(
     """
     pts = ds.points
     prefix = _prefix_masks(pts)
+    reps = sum(1 << i for i in {p: i for i, p in enumerate(pts)}.values())
+    slack = 1 + (4 * k + 8) * 2.0 ** -53
     memo: dict[tuple[int, int], tuple[float, TreeNode | None, int]] = {}
     costs = _LeafCosts(pts, kind)
     known = costs.known
@@ -281,32 +324,57 @@ def _split_search(
         dim, _, new = splits[totals.index(best)]
         return best, cut_node(dim, new, _LEAF, _LEAF), 0
 
-    def grid_splits(mask: int) -> list[tuple[int, int, int, int, int]]:
+    def best_first(mask: int, s: int) -> tuple[float, TreeNode | None, int]:
+        splits = list(_splits(mask, prefix))
+        width = len(splits)
+        seen = [(lmask & reps).bit_count() for _, lmask, _ in splits]
+        distinct = (mask & reps).bit_count()
+        ends = [0, *accumulate(len(list(run)) for _, run in groupby(splits, key=itemgetter(0)))]
+        best, at, node = _INF, -1, None
+
+        def price(s1: int, i: int) -> tuple[float, float]:
+            nonlocal best, at, node
+            dim, lmask, new = splits[i]
+            cl, node_l, _ = solve(lmask, s1)
+            cr, node_r, _ = solve(mask ^ lmask, s - s1)
+            total = cl + cr
+            pos = s1 * width + i
+            if total < best or total == best < _INF and pos < at:
+                best, at, node = total, pos, cut_node(dim, new, node_l, node_r)
+            return cl, cr
+
+        heap: list[tuple[float, int, int, int, float, float, int]] = []
+        for s1 in range(1, s):
+            for start, end in zip(ends, ends[1:]):
+                lo = bisect_left(seen, s1, start, end)
+                hi = bisect_right(seen, distinct - (s - s1), start, end) - 1
+                if lo <= hi:
+                    f, g = price(s1, lo)[0], price(s1, hi)[1]
+                    if hi - lo > 1:
+                        heappush(heap, (f + g, s1 * width + lo, lo, hi, f, g, s1))
+        while heap:
+            bound, start, i, j, f, g, s1 = heappop(heap)
+            limit = bound / slack
+            if bound < _INF and not 0 < best < _NORMAL and (
+                limit > best or limit == best and start >= at
+            ):
+                continue  # no cut strictly inside i..j can replace the incumbent
+            m = (i + j) >> 1
+            fm, gm = price(s1, m)
+            if m - i > 1:
+                heappush(heap, (f + gm, start, i, m, f, gm, s1))
+            if j - m > 1:
+                heappush(heap, (fm + g, start - i + m, m, j, fm, g, s1))
+        return best, node, 0
+
+    def grid_loop(mask: int, s: int) -> tuple[float, TreeNode | None, int]:
         splits = []
         for dim, low, band, new in grid:
             kept = mask & ~band
             lmask = kept & low
             if lmask and lmask != kept:
                 splits.append((dim, lmask, kept ^ lmask, lmask.bit_count(), new))
-        return splits
-
-    def solve(mask: int, s: int) -> tuple[float, TreeNode | None, int]:
-        if s == 1:
-            return costs.leaf(mask), _LEAF, 0
-        hit = memo.get((mask, s))
-        if hit is not None:
-            return hit
-        if grid is not None:
-            splits = grid_splits(mask)
-        elif s == 2:
-            memo[(mask, s)] = ans = two_leaves(mask)
-            return ans
-        else:
-            splits = [
-                (dim, lmask, mask ^ lmask, lmask.bit_count(), new)
-                for dim, lmask, new in _splits(mask, prefix)
-            ]
-        # a grid split's right side may hold fewer than size - nl: then it costs inf
+        # a split's right side may hold fewer than size - nl: then it costs inf
         size = mask.bit_count()
         best = _INF
         best_node: TreeNode | None = None
@@ -325,8 +393,21 @@ def _split_search(
                     best = total
                     best_node = cut_node(dim, new, node_l, node_r)
                     dropped = (mask ^ lmask ^ rmask) | dropped_l | dropped_r
-        memo[(mask, s)] = ans = (best, best_node, dropped)
-        return ans
+        return best, best_node, dropped
+
+    def solve(mask: int, s: int) -> tuple[float, TreeNode | None, int]:
+        if s == 1:
+            return costs.leaf(mask), _LEAF, 0
+        hit = memo.get((mask, s))
+        if hit is None:
+            if grid is not None:
+                hit = grid_loop(mask, s)
+            elif s == 2:
+                hit = two_leaves(mask)
+            else:
+                hit = best_first(mask, s)
+            memo[(mask, s)] = hit
+        return hit
 
     try:
         cost, root, dropped = solve((1 << ds.n) - 1, k)
@@ -383,13 +464,13 @@ def solve_dp(
     return _finish(node, ds, cost, kind)
 
 
-def _rank_grid(ds: Dataset, k: int, epsilon: float, nprime: int):
+def _rank_grid(ds: Dataset, nprime: int):
     """Per dimension and grid line: its threshold (the i*n'-th order
-    statistic), its removal band (ids in rank positions i*n'+1 .. (i+1)*n')
-    and its anchor (the id of the point at rank i*n')."""
-    cap = math.ceil(2 * k / epsilon)
-    count = min(ds.n // nprime, cap)
-    positions = range(nprime, count * nprime + 1, nprime)  # 1-based ranks
+    statistic, i = 1..n // n'), its removal band (ids in rank positions
+    i*n'+1 .. (i+1)*n') and its anchor (the id of the point at rank i*n').
+    With n' = floor(epsilon * n / k) >= 1, n' >= epsilon * n / (2k), so a
+    dimension has at most ceil(2k / epsilon) lines."""
+    positions = range(nprime, ds.n + 1, nprime)  # 1-based ranks
     orders = [sorted(range(ds.n), key=lambda i: (ds.points[i][dim], i)) for dim in range(ds.d)]
     anchors = [[order[pos - 1] for pos in positions] for order in orders]
     thresholds = [[ds.points[i][dim] for i in row] for dim, row in enumerate(anchors)]
@@ -436,7 +517,7 @@ def solve_approx(
     nprime = int(epsilon * ds.n / k)
     cost = _INF
     if nprime:
-        thresholds, bands, anchors = _rank_grid(ds, k, epsilon, nprime)
+        thresholds, bands, anchors = _rank_grid(ds, nprime)
         pts = ds.points
         grid = [
             (dim, sum(1 << i for i, p in enumerate(pts) if p[dim - 1] <= theta),

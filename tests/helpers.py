@@ -149,7 +149,7 @@ def reference_solve_approx(ds, k: int, kind, epsilon: float) -> ApproxResult:
 
     if nprime == 0:
         return exact_fallback()
-    thresholds, bands, _ = _rank_grid(ds, k, epsilon, nprime)
+    thresholds, bands, _ = _rank_grid(ds, nprime)
     lines = [
         (dim, theta, band)
         for dim in range(1, ds.d + 1)

@@ -173,12 +173,15 @@ class TestFit:
         ["baseline", "--k", "2"],
         ["fit", "--k", "1", "--method", "dp"],
         ["fit", "--k", "1", "--method", "approx", "--epsilon", "0.5"],
+        ["fit", "--k", "3", "--method", "dp"],
+        ["fit", "--k", "3", "--method", "branch"],
     ])
     def test_overflowing_cost_exits_two(self, tmp_path, argv):
-        # every 1- or 2-clustering, with or without one outlier, merges two of
-        # the three groups, so its exact cost (about 1e400) overflows a float
+        # every 1-, 2- or 3-clustering, the 2-clusterings with or without one
+        # group dropped, merges two of the four groups, so its exact cost
+        # (about 1e400) overflows a float
         p = tmp_path / "big.csv"
-        p.write_text("x1\n-1e200\n-1e200\n0\n0\n1e200\n1e200\n")
+        p.write_text("x1\n-1e200\n-1e200\n0\n0\n1e200\n1e200\n2e200\n2e200\n")
         proc = run_cli(argv[0], str(p), *argv[1:])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "too large" in proc.stderr

@@ -24,6 +24,7 @@ from treeclust import (
     validate_tree,
 )
 from treeclust import explainable
+from treeclust.core import _prefix_masks, _splits
 from helpers import (
     random_points,
     reference_solve_approx,
@@ -94,6 +95,9 @@ class TestSolveBranching:
             solver(ds, 2, CostKind.MEANS)  # every 2-clustering merges two groups
         with pytest.raises(OverflowError):
             solver(ds, 1, CostKind.MEANS)  # the one leaf holds every group
+        four = Dataset(ds.points[:4] + ((0,), (0,), (2e200,), (2e200,)))
+        with pytest.raises(OverflowError):
+            solver(four, 3, CostKind.MEANS)  # every 3-clustering merges two groups
         with pytest.raises(ValueError, match="too few distinct points"):
             solver(Dataset(ds.points[:4]), 3, CostKind.MEANS)
 
@@ -337,31 +341,109 @@ class TestExactCosts:
         assert counts["search"] > 2000 and counts["approx"] > 1500, counts
 
 
+def _matches_reference(cases, solver):
+    """Assert that ``solver`` gives the cost repr, tree JSON and clusters of
+    reference_split_search on each (points, k) case in both kinds, or the
+    same ValueError; return the number of trees compared."""
+    trees = 0
+    for pts, k in cases:
+        ds = Dataset(pts)
+        for kind in BOTH_KINDS:
+            try:
+                cost, node = reference_split_search(ds, k, kind)
+            except ValueError:
+                with pytest.raises(ValueError, match="too few distinct points"):
+                    solver(ds, k, kind, force=True)
+                continue
+            want = explainable._finish(node, ds, cost, kind)
+            got = solver(ds, k, kind, force=True)
+            assert repr(got.cost) == repr(want.cost), (pts, k, kind)
+            assert json.dumps(tree_to_json_obj(got.tree)) == json.dumps(
+                tree_to_json_obj(want.tree)), (pts, k, kind)
+            assert got.clusters == want.clusters
+            trees += 1
+    return trees
+
+
 class TestSplitSearch:
     def test_matches_per_leaf_pricing(self):
         """Cost repr, tree JSON and clusters equal the per-leaf reference on
         tie-heavy inputs: offsets, scales, duplicates, signed zeros, ints."""
         rng = random.Random(43)
-        trees = 0
+        cases = []
         for _ in range(320):
             n, d = rng.randint(2, 26), rng.randint(1, 3)
             k = rng.randint(1, min(n, 5 if n <= 14 else 3))
-            ds = Dataset(tie_heavy_points(rng, n, d))
-            for kind in BOTH_KINDS:
-                try:
-                    cost, node = reference_split_search(ds, k, kind)
-                except ValueError:
-                    with pytest.raises(ValueError, match="too few distinct points"):
-                        solve_dp(ds, k, kind, force=True)
-                    continue
-                want = explainable._finish(node, ds, cost, kind)
-                got = solve_dp(ds, k, kind, force=True)
-                assert repr(got.cost) == repr(want.cost)
-                assert json.dumps(tree_to_json_obj(got.tree)) == json.dumps(
-                    tree_to_json_obj(want.tree))
-                assert got.clusters == want.clusters
-                trees += 1
-        assert trees >= 500
+            cases.append((tie_heavy_points(rng, n, d), k))
+        assert _matches_reference(cases, solve_dp) >= 500
+
+    def test_best_first_matches_reference(self):
+        """Quota >= 3 states: cost repr, tree JSON and clusters equal the
+        reference loop's, on tie-heavy inputs and on mirrored and underflowing
+        ones whose equal totals exercise the first-minimum rule."""
+        rng = random.Random(48)
+        cases = []
+        for _ in range(240):
+            k = rng.randint(3, 6)
+            n = rng.randint(k, 16 if k >= 5 else 24)
+            cases.append((tie_heavy_points(rng, n, rng.randint(1, 3)), k))
+        for _ in range(40):
+            cases.append((tie_heavy_points(rng, rng.randint(20, 30), rng.randint(1, 3)), 4))
+        for _ in range(40):
+            half = tie_heavy_points(rng, rng.randint(3, 8), rng.randint(1, 2))
+            if len(half[0]) == 1:  # mirror about 0
+                pts = half + tuple((-x,) for (x,) in half)
+            else:  # mirror about the diagonal
+                pts = half + tuple((y, x) for x, y in half)
+            cases.append((pts, rng.randint(3, 5)))
+        for _ in range(40):
+            # groups a few ulps wide near 1e-150, whose costs round to 0:
+            # many cuts tie at total 0, so blocks tie with the incumbent
+            pts = []
+            for _ in range(rng.randint(5, 10)):
+                x = rng.randint(0, 3) * 1e-150
+                for _ in range(rng.randint(0, 3)):
+                    x = math.nextafter(x, math.inf)
+                pts.append((x,))
+            cases.append((tuple(pts), rng.randint(3, 4)))
+        assert _matches_reference(cases, solve_branching) >= 450
+
+    def test_side_optima_are_monotone_along_runs(self):
+        """Along each dimension's feasible cuts of a state, the optimum of
+        the left side with s1 leaves never decreases and that of the right
+        side with s2 never increases, up to the search's slack."""
+        rng = random.Random(49)
+        checked = 0
+        for t in range(80):
+            n, d = rng.randint(8, 16), rng.randint(1, 2)
+            pts = tie_heavy_points(rng, n, d) if t % 2 else random_points(rng, n, d, hi=9)
+            ds = Dataset(pts)
+            # a random state: the members of one side of a random cut, or all
+            prefix = _prefix_masks(pts)
+            mask = (1 << ds.n) - 1
+            splits = list(_splits(mask, prefix))
+            if splits and rng.random() < 0.5:
+                _, lmask, _ = rng.choice(splits)
+                mask = rng.choice([lmask, mask ^ lmask])
+            s = rng.randint(3, 4)
+            slack = 1 + (4 * s + 8) * 2.0 ** -53
+            kind = rng.choice(BOTH_KINDS)
+
+            def opt(side, q):
+                sub = [pts[i] for i in range(ds.n) if side >> i & 1]
+                if len(set(sub)) < q:
+                    return None  # infeasible: fewer distinct points than leaves
+                return reference_split_search(Dataset(tuple(sub)), q, kind)[0]
+
+            for dim in range(1, ds.d + 1):
+                run = [lmask for dm, lmask, _ in _splits(mask, prefix) if dm == dim]
+                for s1 in range(1, s):
+                    sides = [(opt(lm, s1), opt(mask ^ lm, s - s1)) for lm in run]
+                    sides = [(f, g) for f, g in sides if f is not None and g is not None]
+                    for (f0, g0), (f1, g1) in zip(sides, sides[1:]):
+                        assert f0 <= f1 * slack and g1 <= g0 * slack, (pts, mask, s1)
+                        checked += 1
+        assert checked >= 300
 
     def test_dropping_the_map_keeps_results(self, monkeypatch):
         monkeypatch.setattr(explainable, "_KNOWN_MAX", 8)
@@ -399,6 +481,22 @@ class TestSplitSearch:
         # 26,700 single leaves
         assert calls["sweep"] < 1000 and calls["leaf"] < 300, calls
 
+    @pytest.mark.parametrize("kind", BOTH_KINDS)
+    def test_best_first_prices_few_two_leaf_states(self, kind, monkeypatch):
+        calls = [0]
+        real = explainable._LeafCosts.sweep
+
+        def sweep(self, *args):
+            calls[0] += 1
+            real(self, *args)
+
+        monkeypatch.setattr(explainable._LeafCosts, "sweep", sweep)
+        ds = Dataset(random_points(random.Random(5), 200, 2, hi=10**6))
+        solve_branching(ds, 3, kind)
+        # 183 sweeps (MEANS) and 321 (MEDIANS); pricing every cut of the
+        # root takes 1,790 and 1,939
+        assert calls[0] < 700
+
     def test_one_leaf_states_fill_the_map(self, monkeypatch):
         calls = [0]
         real = explainable._LeafCosts.sweep
@@ -427,6 +525,7 @@ class TestSplitSearch:
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             solve_branching(ds, 3, CostKind.MEANS)
+            solve_dp(ds, 4, CostKind.MEANS)  # quota-3 states and their heaps
             with pytest.raises(ValueError):
                 solve_branching(flat, 3, CostKind.MEANS)
             gc.collect()
@@ -435,7 +534,7 @@ class TestSplitSearch:
             gc.set_debug(0)
             gc.garbage.clear()
             gc.enable()
-        # the memo held about 8,500 objects after these two solves and the
+        # the memo held about 8,500 objects after the first solve and the
         # leaf-cost map 69 costs of single leaves
         assert len(left_over) < 200
         assert not any(isinstance(obj, Cost) for obj in left_over)
@@ -447,7 +546,7 @@ def _grid_drops(node, ds, k, eps, ids):
     drops its band's members of the node's ids."""
     if isinstance(node, Leaf):
         return {frozenset()}
-    thresholds, bands, _ = explainable._rank_grid(ds, k, eps, int(eps * ds.n / k))
+    thresholds, bands, _ = explainable._rank_grid(ds, int(eps * ds.n / k))
     dim, theta = node.cut.dim, node.cut.theta
     drops = set()
     for t, band in zip(thresholds[dim - 1], bands[dim - 1]):
@@ -463,6 +562,21 @@ def _grid_drops(node, ds, k, eps, ids):
 
 
 class TestSolveApprox:
+    def test_grid_lines_stay_under_two_k_over_epsilon(self):
+        # n' = floor(epsilon * n / k) >= 1 gives n // n' <= 2k / epsilon, so a
+        # cap of ceil(2k / epsilon) lines per dimension never binds
+        epsilons = [i / 1000 for i in range(1, 1000, 7)]
+        for n in range(1, 120):
+            for k in range(1, min(n, 12) + 1):
+                for eps in epsilons:
+                    nprime = int(eps * n / k)
+                    if nprime:
+                        assert n // nprime <= math.ceil(2 * k / eps), (n, k, eps)
+        ds = Dataset(random_points(random.Random(50), 60, 2))
+        for k, eps in [(3, 0.1), (4, 0.2), (2, 0.999)]:
+            thresholds = explainable._rank_grid(ds, int(eps * 60 / k))[0]
+            assert [len(row) for row in thresholds] == [60 // int(eps * 60 / k)] * 2
+
     def test_k1_keeps_everything(self):
         ds = gapped_1d()
         res = solve_approx(ds, 1, CostKind.MEANS, 0.5)
