@@ -183,12 +183,7 @@ def cmd_explain(args) -> int:
     else:
         if args.budget is None:
             raise InputError("--method exact requires --budget")
-        try:
-            res = exact_explain(cl, args.budget, force=args.force)
-        except LimitExceededError as exc:
-            raise InputError(
-                f"{exc}; try --method greedy, kernel first, or --force"
-            ) from exc
+        res = exact_explain(cl, args.budget, force=args.force)
     elapsed = time.perf_counter() - t0
     inp = _input(args, cl.ds, k=cl.k, s=args.budget)
     if res is None:

@@ -220,11 +220,28 @@ def check_explainable(cl: Clustering) -> bool:
 class _ExactSolver:
     """Box dynamic program for minimum-outlier explanation.
 
-    State: the member bitmask of a box carved out by canonical cuts plus the
-    bitmask of clusters still kept in play. Boxes holding the same points
-    have the same optimum, so they share one state; a box's cuts are those
-    of ``core._splits``, which skips cuts that leave one side empty (such a
-    cut would map a state to itself).
+    State: the member bitmask ``bm`` of a box carved out by canonical cuts
+    plus the bitmask ``S`` of clusters allowed to survive in it. Boxes
+    holding the same points have the same optimum, so they share one state;
+    a box's cuts are those of ``core._splits``, which skips cuts that leave
+    one side empty (such a cut would map a state to itself).
+
+    Value: the number of the box's members that the best subtree removes.
+    A leaf keeps one cluster c of S, or none, and removes |bm| − |c ∩ bm|.
+    A cut gives each cluster of S to one side and is worth the sum of its
+    two children.
+
+    Invariant: every cluster in S has a member in the box. Every cluster is
+    nonempty at the root, and a child's S takes only clusters present on
+    its side; so a cluster of S absent from the left side is on the right.
+
+    Both prunes are admissible. A cluster of S survives only in this box, so
+    any tree through this state also removes its members outside the box,
+    lost(bm, S). A state whose value + lost exceeds the budget therefore
+    saturates to ``_INF``. A cluster with members inside and outside the box
+    adds at least one to value + lost, through lost if it is in S and
+    through the value otherwise, so a box that splits more clusters than
+    the budget saturates before any cut is tried.
     """
 
     def __init__(self, cl: Clustering, budget: int):
@@ -235,7 +252,6 @@ class _ExactSolver:
         self.cmask = [0] * (self.k + 1)  # cmask[0] stays empty
         for pid, lab in enumerate(cl.labels):
             self.cmask[lab] |= 1 << pid
-        self.csize = [m.bit_count() for m in self.cmask]
         self.memo: dict[tuple[int, int], tuple[int, tuple | None]] = {}
         self.all_smask = (1 << self.k) - 1  # bit lab-1 = cluster lab kept
 
@@ -247,88 +263,52 @@ class _ExactSolver:
         if entry is not None:
             return entry[0]
         value, choice = self._compute(bm, smask)
-        if value > self.budget:
-            value = _INF
         self.memo[(bm, smask)] = (value, choice)
         return value
 
     def _compute(self, bm: int, smask: int) -> tuple[int, tuple | None]:
         notbm = self.full ^ bm
-        nsplit = 0
-        for lab in range(1, self.k + 1):
-            cm = self.cmask[lab]
-            if cm & bm and cm & notbm:
-                nsplit += 1
+        nsplit = sum(1 for cm in self.cmask if cm & bm and cm & notbm)
         if nsplit > self.budget:
             return _INF, None
         kept = [lab for lab in range(1, self.k + 1) if smask >> (lab - 1) & 1]
-        out_sum = sum(
-            (self.cmask[lab] & bm).bit_count()
-            for lab in range(1, self.k + 1)
-            if not smask >> (lab - 1) & 1
-        )
-        lost_sum = sum((self.cmask[lab] & notbm).bit_count() for lab in kept)
-        if len(kept) <= 1:
-            return out_sum + lost_sum, ("base", kept[0] if kept else 0)
-        best = _INF
-        best_choice: tuple | None = None
-        # Collapse: keep a single surviving cluster inside this box.
+        lost = sum((self.cmask[lab] & notbm).bit_count() for lab in kept)
+        size = bm.bit_count()
+        best, best_choice = size, ("leaf", 0)
         for lab in kept:
-            val = (
-                (self.cmask[lab] & notbm).bit_count()
-                + sum(self.csize[j] for j in kept if j != lab)
-                + out_sum
-            )
+            val = size - (self.cmask[lab] & bm).bit_count()
             if val < best:
-                best = val
-                best_choice = ("collapse", lab)
-        # Split by a canonical cut inside the box.
-        for _, lbm, _ in _splits(bm, self.prefix):
+                best, best_choice = val, ("leaf", lab)
+        # A cut can beat a leaf only when it keeps two clusters apart.
+        cuts = _splits(bm, self.prefix) if len(kept) > 1 else ()
+        for _, lbm, _ in cuts:
             rbm = bm ^ lbm
             forced1 = 0
-            forced2 = 0
             free: list[int] = []
-            ok = True
             for lab in kept:
                 cm = self.cmask[lab]
-                in_l = cm & lbm
-                in_r = cm & rbm
-                if in_l and in_r:
-                    free.append(lab)
-                elif in_l:
-                    forced1 |= 1 << (lab - 1)
-                elif in_r:
-                    forced2 |= 1 << (lab - 1)
-                else:
-                    ok = False  # kept cluster fully outside the box
-                    break
-            if not ok:
-                continue
+                if cm & lbm:
+                    if cm & rbm:
+                        free.append(lab)
+                    else:
+                        forced1 |= 1 << (lab - 1)
             for fsub in range(1 << len(free)):
                 smask1 = forced1
-                smask2 = forced2
                 for idx, lab in enumerate(free):
                     if fsub >> idx & 1:
                         smask1 |= 1 << (lab - 1)
-                    else:
-                        smask2 |= 1 << (lab - 1)
+                smask2 = smask ^ smask1
                 w1 = self.w(lbm, smask1)
                 if w1 >= _INF:
                     continue
                 w2 = self.w(rbm, smask2)
                 if w2 >= _INF:
                     continue
-                delta = 0
-                for lab in kept:
-                    cm = self.cmask[lab]
-                    if smask1 >> (lab - 1) & 1:
-                        delta += (cm & rbm).bit_count()
-                    else:
-                        delta += (cm & lbm).bit_count()
-                val = w1 + w2 - delta
-                if val < best:
-                    best = val
+                if w1 + w2 < best:
+                    best = w1 + w2
                     best_choice = ("cut", lbm, smask1, smask2)
+        if best + lost > self.budget:
+            best = _INF
         return best, best_choice
 
     def removal_set(self) -> set[int]:
@@ -345,7 +325,7 @@ class _ExactSolver:
             self._collect(lbm, smask1, out)
             self._collect(bm ^ lbm, smask2, out)
             return
-        # base and collapse: every member outside the one surviving cluster goes
+        # a leaf: every member outside its one surviving cluster goes
         gone = bm & (self.full ^ self.cmask[choice[1]])
         while gone:
             low = gone & -gone

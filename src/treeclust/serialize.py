@@ -46,8 +46,9 @@ def tree_from_json_obj(obj: dict) -> ThresholdTree:
 
 
 def tree_to_dot(tree: ThresholdTree, sizes: dict[int, int] | None = None) -> str:
-    """DOT text; internal nodes read "x[dim] <= theta", leaves show the
-    cluster id and, when sizes are given, the cluster size."""
+    """DOT text; internal nodes read "x[dim] <= theta" with θ in full
+    (``repr``), leaves show the cluster id and, when sizes are given, the
+    cluster size."""
     lines = ["digraph tree {", "  node [shape=box];"]
     counter = [0]
 
@@ -58,7 +59,7 @@ def tree_to_dot(tree: ThresholdTree, sizes: dict[int, int] | None = None) -> str
             size = "" if sizes is None else f"\\nsize={sizes.get(node.label, 0)}"
             lines.append(f'  n{my_id} [label="cluster {node.label}{size}", shape=ellipse];')
             return my_id
-        lines.append(f'  n{my_id} [label="x[{node.cut.dim}] <= {node.cut.theta:g}"];')
+        lines.append(f'  n{my_id} [label="x[{node.cut.dim}] <= {node.cut.theta!r}"];')
         left_id = walk(node.left)
         right_id = walk(node.right)
         lines.append(f'  n{my_id} -> n{left_id} [label="yes"];')

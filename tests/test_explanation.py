@@ -17,7 +17,8 @@ from treeclust import (
     opt_explain,
     tree_to_json_obj,
 )
-from treeclust.explanation import _cut_removal
+from treeclust.explanation import _ExactSolver, _cut_removal
+from treeclust.generate import gen_uniform
 from helpers import (
     mixed_instance,
     random_clustering,
@@ -319,6 +320,32 @@ class TestExactExplain:
             cl = random_clustering(rng, rng.randint(3, 8), 2, 2)
             feasible = [exact_explain(cl, s) is not None for s in range(cl.ds.n)]
             assert feasible == sorted(feasible)
+
+    def test_work_pin(self):
+        # states the DP memoizes on an n = 18 input; both prunes show here
+        # (without the split-cluster check: 7,917 / 8,106 / 8,752; without
+        # lost in the saturation: 973 / 5,551 / 9,694). An admissible bound
+        # on the removals still to come is expected to lower these counts.
+        cl = gen_uniform(3, 6, 2, 1)
+        for s, states in ((1, 888), (2, 4406), (4, 8752)):
+            solver = _ExactSolver(cl, s)
+            solver.solve()
+            assert len(solver.memo) == states
+
+    def test_kept_clusters_meet_their_box(self):
+        # every cluster a state keeps has a member in its box, so a cut
+        # hands each kept cluster to a side that holds some of it
+        rng = random.Random(31)
+        for _ in range(200):
+            k = rng.randint(2, 4)
+            cl = mixed_instance(rng, rng.randint(k, 10), rng.randint(1, 3), k)
+            for s in (0, 1, 3):
+                solver = _ExactSolver(cl, s)
+                solver.solve()
+                for bm, smask in solver.memo:
+                    for lab in range(1, cl.k + 1):
+                        if smask >> (lab - 1) & 1:
+                            assert solver.cmask[lab] & bm
 
     def test_guard_rail_and_force(self):
         rng = random.Random(26)

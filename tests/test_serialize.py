@@ -1,12 +1,16 @@
 import json
+import re
 
 import pytest
 
 from treeclust import (
+    CostKind,
     Cut,
+    Dataset,
     Internal,
     Leaf,
     ThresholdTree,
+    solve_dp,
     tree_from_json_obj,
     tree_to_dot,
     tree_to_json_obj,
@@ -51,3 +55,18 @@ def test_dot_output():
     assert 'x[1] <= 2.5' in dot
     assert 'cluster 1\\nsize=4' in dot
     assert dot.count("->") == 4
+
+
+def test_dot_labels_keep_every_threshold_digit():
+    # cuts 0.1234562 and 0.1234565 both read 0.123456 at six significant digits
+    ds = Dataset.from_rows([(0.1234561,), (0.1234562,), (0.1234564,), (0.1234565,), (0.9,)])
+    tree = solve_dp(ds, 3, CostKind.MEANS).tree
+    thetas = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Internal):
+            thetas.append(node.cut.theta)
+            stack += [node.right, node.left]
+    labels = re.findall(r'label="x\[1\] <= ([^"]+)"', tree_to_dot(tree))
+    assert [float(x) for x in labels] == thetas == [0.1234562, 0.1234565]
