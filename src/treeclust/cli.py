@@ -10,7 +10,8 @@ tree. explain and fit with --format dot write the tree's DOT drawing
 instead, and each leaf's size counts only the kept points routed to it.
 Diagnostics go to stderr. Exit codes: 0 success / positive answer, 1
 well-formed but negative or infeasible answer, 2 usage or input error
-(coordinates so large that a cost overflows a float included), 3
+(coordinates so large that a cost overflows a float included, and any
+report number that is not finite, which JSON cannot hold), 3
 internal failure (a failed self-check, RecursionError or MemoryError;
 stderr reads "error: internal: <Type>: <message>").
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from typing import Sequence
@@ -159,8 +161,11 @@ def _report(
     }
     if tree is not None:
         report["tree"] = tree_to_json_obj(tree)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:  # JSON has no NaN or infinity
+        raise InputError("a reported number is not finite (it overflows a float)") from exc
+    sys.stdout.write(text + "\n")
     return code
 
 
@@ -264,6 +269,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    if args.explainable_cost is not None and not math.isfinite(args.explainable_cost):
+        raise InputError("--explainable-cost must be finite")
     ds, _ = read_dataset(args.input, args.label_col, require_labels=False)
     t0 = time.perf_counter()
     res = lloyd_baseline(ds, args.k, CostKind(args.cost), args.seed, args.iters)

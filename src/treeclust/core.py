@@ -67,6 +67,8 @@ class Cut:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("cut dimension must be >= 1")
+        if not math.isfinite(self.theta):
+            raise ValueError("cut threshold must be finite")
 
     def goes_left(self, p: Point) -> bool:
         return p[self.dim - 1] <= self.theta

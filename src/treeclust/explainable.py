@@ -99,11 +99,11 @@ def _finish(node: TreeNode, ds: Dataset, cost: float, kind: CostKind) -> Explain
 
 
 class _LeafCosts:
-    """Exactly rounded leaf costs (see core._exact_cost) of one dataset,
-    kept per search in ``known`` (member mask -> cost), which is dropped
-    whenever it holds more than _KNOWN_MAX costs. ``leaf`` prices one member
-    set; ``sweep`` prices every side of one dimension's cuts of a state in
-    one sorted pass, with exact int prefix sums."""
+    """Exactly rounded leaf costs (see core._exact_cost) of one dataset.
+    ``leaf`` prices one member set and keeps it in ``known`` (member mask
+    -> cost), which is dropped whenever it holds more than _KNOWN_MAX
+    costs; ``sweep`` prices the prefixes of one ordered member list in one
+    pass, with exact int prefix sums, and keeps nothing."""
 
     def __init__(self, pts: tuple[Point, ...], kind: CostKind):
         n = len(pts)
@@ -128,22 +128,17 @@ class _LeafCosts:
             self.known[mask] = cost
         return cost
 
-    def sweep(self, mask: int, dim: int, sizes: list[int], sides: list[int],
-              forward: bool) -> None:
-        """Store the cost of every side of one dimension's cuts of the state
-        ``mask``: the left sides when ``forward``, in ascending cut order,
-        else the right sides in descending order. ``sizes`` holds their
-        member counts, which grow along the list."""
-        flags = format(mask, f"0{self.n}b")[::-1]
-        ids = [i for i in self.order[dim - 1] if flags[i] == "1"]
-        if not forward:
-            ids.reverse()
+    def sweep(self, ids: list[int], dim: int, sizes: list[int], sign: int) -> list[float]:
+        """The costs of ids[:m] for each m in ``sizes``, which grow along
+        the list; ``ids`` is sorted along dimension ``dim``, ascending when
+        ``sign`` is 1 and descending when it is -1. A cost that overflows a
+        float is inf."""
         if self.kind is CostKind.MEDIANS:
             nums = [0] * len(sizes)
             for j, col in enumerate(self.cols):
                 vals = [col[i] for i in ids]
                 if j == dim - 1:
-                    _sorted_l1(vals, sizes, nums, 1 if forward else -1)
+                    _sorted_l1(vals, sizes, nums, sign)
                 else:
                     _running_l1(vals, sizes, nums)
             dens = repeat(self.scale)
@@ -156,10 +151,9 @@ class _LeafCosts:
             den = self.scale * self.scale
             dens = [m * den for m in sizes]
         try:
-            costs = list(map(truediv, nums, dens))
-        except OverflowError:  # some side's cost overflows: divide each alone
-            costs = list(map(_quotient, nums, dens))
-        self.known.update(zip(sides, costs))
+            return list(map(truediv, nums, dens))
+        except OverflowError:  # some prefix's cost overflows: divide each alone
+            return list(map(_quotient, nums, dens))
 
 
 def _quotient(num: int, den: int) -> float:
@@ -234,13 +228,14 @@ def _split_search(
     state tries them in that order, skips a cut whose left optimum already
     reaches the best total and keeps only a strictly better total.
 
-    Leaf costs are exactly rounded and kept in one map (``_LeafCosts``),
-    inf where they overflow a float. A state with quota 2 and canonical
-    cuts prices them all at once: per dimension a forward sweep prices
-    every left side and a backward sweep every right side, each only when
-    one of its sides is not in the map, and the state takes the first cut
-    of least total, as the loop would. The map is dropped whenever it holds
-    more than _KNOWN_MAX costs, which bounds its memory.
+    Leaf costs are exactly rounded (``_LeafCosts``), inf where they
+    overflow a float. A state with quota 2 and canonical cuts prices them
+    all at once: per dimension it lists its members in sorted order, a
+    forward sweep returns the cost of every left side and a backward sweep
+    that of every right side, and the state takes the first cut of least
+    total in (dimension, theta) order, as the loop would. Single leaves
+    (quota-1 states) are kept in one map, which is dropped whenever it
+    holds more than _KNOWN_MAX costs; that bounds its memory.
 
     A canonical state with quota s >= 3 searches each (s1, dimension) run
     of cuts best-first. For point sets with at least q distinct points, the
@@ -290,7 +285,6 @@ def _split_search(
     slack = 1 + (4 * k + 8) * 2.0 ** -53
     memo: dict[tuple[int, int], tuple[float, TreeNode | None, int]] = {}
     costs = _LeafCosts(pts, kind)
-    known = costs.known
 
     def cut_node(dim: int, new: int, left: TreeNode, right: TreeNode) -> Internal:
         # theta comes from the lowest new member, as it would from a set of
@@ -298,31 +292,22 @@ def _split_search(
         return Internal(Cut(dim, pts[(new & -new).bit_length() - 1][dim - 1]), left, right)
 
     def two_leaves(mask: int) -> tuple[float, TreeNode | None, int]:
-        splits = list(_splits(mask, prefix))
-        if len(known) > _KNOWN_MAX:
-            known.clear()
-        lefts = [known.get(lmask) for _, lmask, _ in splits]
-        rights = [known.get(mask ^ lmask) for _, lmask, _ in splits]
-        if None in lefts or None in rights:
-            start = 0
-            for dim, run in groupby(splits, key=itemgetter(0)):
-                sides = [lmask for _, lmask, _ in run]
-                end = start + len(sides)
-                if None in lefts[start:end]:
-                    costs.sweep(mask, dim, [m.bit_count() for m in sides], sides, True)
-                if None in rights[start:end]:
-                    sides = [mask ^ lmask for lmask in reversed(sides)]
-                    costs.sweep(mask, dim, [m.bit_count() for m in sides], sides, False)
-                start = end
-            lefts = [known[lmask] for _, lmask, _ in splits]
-            rights = [known[mask ^ lmask] for _, lmask, _ in splits]
-        totals = [cl + cr for cl, cr in zip(lefts, rights)]
-        best = min(totals, default=_INF)
-        if best == _INF:
-            # no cut, or every total overflows: the loop keeps no incumbent
-            return best, None, 0
-        dim, _, new = splits[totals.index(best)]
-        return best, cut_node(dim, new, _LEAF, _LEAF), 0
+        flags = format(mask, f"0{costs.n}b")[::-1]
+        best, node = _INF, None
+        for dim, (order, col) in enumerate(zip(costs.order, costs.cols), start=1):
+            ids = [i for i in order if flags[i] == "1"]
+            vals = [col[i] for i in ids]
+            # one cut after each run of equal values but the last
+            sizes = [m for m in range(1, len(ids)) if vals[m - 1] != vals[m]]
+            lefts = costs.sweep(ids, dim, sizes, 1)
+            rights = costs.sweep(ids[::-1], dim, [len(ids) - m for m in reversed(sizes)], -1)
+            totals = [cl + cr for cl, cr in zip(lefts, reversed(rights))]
+            low = min(totals, default=_INF)
+            if low < best:
+                # ids ascend within a run, so its first is the lowest new member
+                t = totals.index(low)
+                best, node = low, cut_node(dim, 1 << ids[sizes[t - 1] if t else 0], _LEAF, _LEAF)
+        return best, node, 0
 
     def best_first(mask: int, s: int) -> tuple[float, TreeNode | None, int]:
         splits = list(_splits(mask, prefix))
@@ -415,7 +400,7 @@ def _split_search(
         # solve refers to itself, so without this the maps would live until
         # the next cyclic garbage collection
         memo.clear()
-        known.clear()
+        costs.known.clear()
     # a tree is found exactly when its cost is finite (at k = 1 root is a leaf)
     if cost == _INF and grid is None:
         if len(set(pts)) < k:

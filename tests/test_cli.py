@@ -229,6 +229,25 @@ class TestBaseline:
         )
         assert json.loads(proc.stdout)["result"]["ratio"] == "n/a"
 
+    @pytest.mark.parametrize("cost", ["nan", "inf", "-inf"])
+    def test_non_finite_explainable_cost_exits_two(self, tmp_path, cost):
+        p = tmp_path / "pts.csv"
+        p.write_text("x1\n0\n1\n10\n11\n")
+        proc = run_cli("baseline", str(p), "--k", "2", f"--explainable-cost={cost}")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --explainable-cost must be finite\n"
+
+    def test_overflowing_ratio_exits_two(self, tmp_path):
+        # the baseline costs 1e-320 / 2, so the ratio overflows a float and
+        # JSON, which has no infinity, cannot hold it
+        p = tmp_path / "pts.csv"
+        p.write_text("x1\n0\n1e-160\n1\n")
+        proc = run_cli("baseline", str(p), "--k", "2", "--explainable-cost", "1e300")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: a reported number is not finite")
+
 
 class TestGen:
     def test_separated_then_check(self, tmp_path):

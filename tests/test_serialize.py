@@ -49,6 +49,14 @@ def test_malformed_json_rejected():
         tree_from_json_obj({"k": 2, "tree": {"leaf": 1}})  # k mismatch
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf", float("nan")])
+def test_non_finite_threshold_rejected(theta):
+    # a NaN cut would send every point right without an error
+    obj = {"k": 2, "tree": {"dim": 1, "theta": theta, "left": {"leaf": 1}, "right": {"leaf": 2}}}
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        tree_from_json_obj(obj)
+
+
 def test_dot_output():
     dot = tree_to_dot(sample_tree(), sizes={1: 4, 2: 2, 3: 1})
     assert dot.startswith("digraph tree {")
