@@ -6,16 +6,16 @@ split search keyed by member bitmask and leaf quota (_split_search). The
 two exact solvers, solve_branching (recursive branching search) and
 solve_dp (dynamic program over point subsets), search every canonical cut
 and return the same tree; they differ only in their guard rails. A state
-with two leaves left prices its canonical cuts by one sorted sweep per
-dimension and direction; a state with more searches each dimension's cuts
-best-first and skips those a monotone lower bound rules out. Every leaf
-cost is the float nearest the exact cost (core._exact_cost), so a sweep's
-value is the cost itself and trees and tie-breaks are those of pricing
-every leaf with cluster_cost; a leaf whose cost overflows a float is
-priced as inf. solve_approx is an outlier-tolerant approximation that
-searches only the cuts of a per-dimension rank grid, each of which drops
-its band of points from its own node, so it removes at most an epsilon
-fraction of the points.
+with two leaves left prices all its cuts, canonical or grid, from one
+sorted pass per dimension; a canonical state with more searches each
+dimension's cuts best-first and skips those a monotone lower bound rules
+out. Every leaf cost is the float nearest the exact cost
+(core._exact_cost), so a sweep's value is the cost itself and trees and
+tie-breaks are those of pricing every leaf with cluster_cost; a leaf
+whose cost overflows a float is priced as inf. solve_approx is an
+outlier-tolerant approximation that searches only the cuts of a
+per-dimension rank grid, each of which drops its band of points from its
+own node, so it removes at most an epsilon fraction of the points.
 """
 from __future__ import annotations
 
@@ -24,22 +24,11 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
-from itertools import accumulate, groupby, repeat
-from operator import itemgetter, truediv
+from itertools import accumulate, count, groupby, repeat
+from operator import add, itemgetter, truediv
 
-from .core import (
-    CostKind,
-    Cut,
-    Dataset,
-    LimitExceededError,
-    Point,
-    _exact_cost,
-    _int_columns,
-    _prefix_masks,
-    _splits,
-    centroid,
-    cluster_cost,
-)
+from .core import (CostKind, Cut, Dataset, LimitExceededError, Point, _exact_cost, _int_columns,
+                   _prefix_masks, _splits, centroid, cluster_cost)
 from .tree import Internal, Leaf, ThresholdTree, TreeNode, tree_evaluate
 
 BRANCH_MAX_K = 8
@@ -80,15 +69,12 @@ class LloydResult:
 
 def _relabel(node: TreeNode) -> TreeNode:
     """Assign leaf labels 1..k left to right (input leaves are placeholders)."""
-    counter = [0]
+    labels = count(1)
 
     def walk(nd: TreeNode) -> TreeNode:
         if isinstance(nd, Leaf):
-            counter[0] += 1
-            return Leaf(counter[0])
-        left = walk(nd.left)
-        right = walk(nd.right)
-        return Internal(nd.cut, left, right)
+            return Leaf(next(labels))
+        return Internal(nd.cut, walk(nd.left), walk(nd.right))
 
     return walk(node)
 
@@ -102,13 +88,14 @@ class _LeafCosts:
     """Exactly rounded leaf costs (see core._exact_cost) of one dataset.
     ``leaf`` prices one member set and keeps it in ``known`` (member mask
     -> cost), which is dropped whenever it holds more than _KNOWN_MAX
-    costs; ``sweep`` prices the prefixes of one ordered member list in one
-    pass, with exact int prefix sums, and keeps nothing."""
+    costs; that bounds its memory (solve_approx on uniform n = 200, k = 4,
+    epsilon = 0.05 prices 24,968 leaves, all distinct, so it stays below).
+    ``sides`` prices the prefixes and suffixes of one ordered member list
+    in one pass, with exact int prefix sums, and keeps nothing."""
 
     def __init__(self, pts: tuple[Point, ...], kind: CostKind):
-        n = len(pts)
         self.kind = kind
-        self.n = n
+        self.n = n = len(pts)
         self.scale, self.cols = _int_columns(pts)
         self.squares = [sum(c * c for c in x) for x in zip(*self.cols)]
         self.order = [sorted(range(n), key=col.__getitem__) for col in self.cols]
@@ -121,39 +108,50 @@ class _LeafCosts:
         if cost is None:
             if len(self.known) > _KNOWN_MAX:
                 self.known.clear()
+            flags = format(mask, f"0{self.n}b")[::-1]
+            ids = [i for i, f in enumerate(flags) if f == "1"]
             try:
-                cost = _exact_cost(self.cols, _members(mask, self.n), self.scale, self.kind)
+                cost = _exact_cost(self.cols, ids, self.scale, self.kind)
             except OverflowError:
                 cost = _INF
             self.known[mask] = cost
         return cost
 
-    def sweep(self, ids: list[int], dim: int, sizes: list[int], sign: int) -> list[float]:
-        """The costs of ids[:m] for each m in ``sizes``, which grow along
-        the list; ``ids`` is sorted along dimension ``dim``, ascending when
-        ``sign`` is 1 and descending when it is -1. A cost that overflows a
-        float is inf."""
+    def sides(self, ids: list[int], dim: int, lsizes: list[int], rsizes: list[int]):
+        """(lefts, rights): the costs of ids[:m] for each m in ``lsizes``,
+        which do not decrease, and of ids[len(ids) - r:] for each r in
+        ``rsizes``, which do not increase; ``ids`` ascends along dimension
+        ``dim``. A cost that overflows a float is inf."""
+        n = len(ids)
         if self.kind is CostKind.MEDIANS:
-            nums = [0] * len(sizes)
+            lnums, rnums = [0] * len(lsizes), [0] * len(rsizes)
             for j, col in enumerate(self.cols):
                 vals = [col[i] for i in ids]
-                if j == dim - 1:
-                    _sorted_l1(vals, sizes, nums, sign)
+                if j == dim - 1:  # vals ascend: top half's sum minus bottom half's
+                    acc = list(accumulate(vals, initial=0))
+                    lnums = [x + acc[m] - acc[m - (m >> 1)] - acc[m >> 1]
+                             for x, m in zip(lnums, lsizes)]
+                    rnums = [x + acc[n] - acc[n - (r >> 1)] - acc[n - r + (r >> 1)] + acc[n - r]
+                             for x, r in zip(rnums, rsizes)]
                 else:
-                    _running_l1(vals, sizes, nums)
-            dens = repeat(self.scale)
-        else:
-            total = list(accumulate([self.squares[i] for i in ids], initial=0))
-            nums = [m * total[m] for m in sizes]
+                    lnums = list(map(add, lnums, _running_l1(vals, lsizes)))
+                    back = _running_l1(vals[::-1], rsizes[::-1])
+                    rnums = list(map(add, rnums, reversed(back)))
+            ldens = rdens = repeat(self.scale)
+        else:  # a suffix's sums are the whole list's minus the prefix's before it
+            sq = list(accumulate([self.squares[i] for i in ids], initial=0))
+            lnums = [m * sq[m] for m in lsizes]
+            rnums = [r * (sq[n] - sq[n - r]) for r in rsizes]
             for col in self.cols:
                 acc = list(accumulate([col[i] for i in ids], initial=0))
-                nums = [num - acc[m] * acc[m] for num, m in zip(nums, sizes)]
+                lnums = [x - acc[m] * acc[m] for x, m in zip(lnums, lsizes)]
+                rnums = [x - (y := acc[n] - acc[n - r]) * y for x, r in zip(rnums, rsizes)]
             den = self.scale * self.scale
-            dens = [m * den for m in sizes]
+            ldens, rdens = [m * den for m in lsizes], [r * den for r in rsizes]
         try:
-            return list(map(truediv, nums, dens))
-        except OverflowError:  # some prefix's cost overflows: divide each alone
-            return list(map(_quotient, nums, dens))
+            return list(map(truediv, lnums, ldens)), list(map(truediv, rnums, rdens))
+        except OverflowError:  # some side's cost overflows: divide each alone
+            return list(map(_quotient, lnums, ldens)), list(map(_quotient, rnums, rdens))
 
 
 def _quotient(num: int, den: int) -> float:
@@ -164,31 +162,17 @@ def _quotient(num: int, den: int) -> float:
         return _INF
 
 
-def _members(mask: int, n: int) -> list[int]:
-    """The ids of ``mask``'s members, ascending, read off one bit string."""
-    flags = format(mask, f"0{n}b")[::-1]
-    return [i for i, f in enumerate(flags) if f == "1"]
-
-
-def _sorted_l1(vals: list[int], sizes: list[int], nums: list[int], sign: int) -> None:
-    """Add to nums[t] the L1 cost about the median of vals[:sizes[t]], where
-    vals is sorted (descending when sign is -1): the top half's sum minus
-    the bottom half's."""
-    acc = list(accumulate(vals, initial=0))
-    for t, m in enumerate(sizes):
-        h = m >> 1
-        nums[t] += sign * (acc[m] - acc[m - h] - acc[h])
-
-
-def _running_l1(vals: list[int], sizes: list[int], nums: list[int]) -> None:
-    """As _sorted_l1 for vals in any order: a max-heap ``lower`` (negated)
-    keeps the ceil(m/2) smallest values and ``upper`` the rest."""
+def _running_l1(vals: list[int], sizes: list[int]) -> list[int]:
+    """The L1 cost about the median of vals[:m], times E, for each m in
+    ``sizes``, which do not decrease, for vals in any order: a max-heap
+    ``lower`` (negated) keeps the ceil(m/2) smallest values and ``upper``
+    the rest."""
     lower: list[int] = []
     upper: list[int] = []
-    low_sum = up_sum = 0
+    low_sum = up_sum = start = 0
     even = True  # len(lower) == len(upper)
-    start = 0
-    for t, m in enumerate(sizes):
+    nums = []
+    for m in sizes:
         for v in vals[start:m]:
             if even:
                 if upper and v > upper[0]:
@@ -207,11 +191,12 @@ def _running_l1(vals: list[int], sizes: list[int], nums: list[int]) -> None:
             even = not even
         start = m
         # with m odd the lower median sits atop `lower`, outside both halves
-        nums[t] += up_sum - low_sum - (lower[0] if m & 1 else 0)
+        nums.append(up_sum - low_sum - (lower[0] if m & 1 else 0))
+    return nums
 
 
 def _split_search(
-    ds: Dataset, k: int, kind: CostKind, grid: list[tuple[int, int, int, int]] | None = None
+    ds: Dataset, k: int, kind: CostKind, grid: list[list[tuple[int, int, int, int]]] | None = None
 ) -> tuple[float, TreeNode | None, int]:
     """Least-cost k-leaf threshold tree by memoized split search, as
     (cost, root, mask of the points the tree drops).
@@ -219,23 +204,26 @@ def _split_search(
     A state is a member bitmask plus a leaf quota s; its optimum depends on
     nothing else. Without a grid, its cuts are those of ``core._splits``:
     per dimension, every distinct member value except the largest,
-    ascending. A grid (solve_approx's) gives per line its dimension, the
-    mask of the points "<= theta", its band's mask and the bit of a point
-    whose coordinate is theta; the state's cuts are then the lines in that
-    order, and a line drops its band's members from the state and splits
-    the rest (no cut when a side is left empty). A state takes the first
-    cut of least total in the order s1 = 1..s-1, then the cuts. A grid
-    state tries them in that order, skips a cut whose left optimum already
-    reaches the best total and keeps only a strictly better total.
+    ascending. A grid (solve_approx's) gives per dimension its lines in
+    order, each as (anchor, band mask, band's end rank, mask of the points
+    "<= theta"), where theta is the anchor's coordinate; a line drops its
+    band's members from the state and splits the rest (no cut when a side
+    is left empty). A state takes the first cut of least total in the
+    order s1 = 1..s-1, then the cuts; a grid state with quota s >= 3 tries
+    them in that order, skips a cut whose left optimum already reaches the
+    best total and keeps only a strictly better one.
 
     Leaf costs are exactly rounded (``_LeafCosts``), inf where they
-    overflow a float. A state with quota 2 and canonical cuts prices them
-    all at once: per dimension it lists its members in sorted order, a
-    forward sweep returns the cost of every left side and a backward sweep
-    that of every right side, and the state takes the first cut of least
-    total in (dimension, theta) order, as the loop would. Single leaves
-    (quota-1 states) are kept in one map, which is dropped whenever it
-    holds more than _KNOWN_MAX costs; that bounds its memory.
+    overflow a float; single leaves go through its map. A state with quota
+    2 prices all its cuts by sweeps: per dimension it lists its members in
+    (value, id) order, ``sides`` prices every left side, a prefix, and
+    every right side, a suffix, and the state takes the first cut of least
+    total in (dimension, cut) order, as the loop would. A grid line's right
+    side is the members past its band above theta. Its left side is those
+    ranked below the band, unless the band holds only theta and a member
+    past it equals theta too: then that member goes left, past the band,
+    and ``leaf`` prices the left side. Of prefix-left lines with the same
+    two sides only the first is priced; the others never win.
 
     A canonical state with quota s >= 3 searches each (s1, dimension) run
     of cuts best-first. For point sets with at least q distinct points, the
@@ -285,29 +273,66 @@ def _split_search(
     slack = 1 + (4 * k + 8) * 2.0 ** -53
     memo: dict[tuple[int, int], tuple[float, TreeNode | None, int]] = {}
     costs = _LeafCosts(pts, kind)
+    if grid is not None:
+        # costs.order sorts by (value, id), as _rank_grid does
+        ranks = [dict(zip(order, range(ds.n))) for order in costs.order]
 
     def cut_node(dim: int, new: int, left: TreeNode, right: TreeNode) -> Internal:
         # theta comes from the lowest new member, as it would from a set of
         # member values (this keeps the sign of a zero)
         return Internal(Cut(dim, pts[(new & -new).bit_length() - 1][dim - 1]), left, right)
 
+    def line_cuts(mask: int, ids: list[int], dim: int, col: list[int]):
+        rank = ranks[dim - 1]
+        rs = list(map(rank.__getitem__, ids))
+        lsizes, rsizes, odd, heads = [], [], [], []
+        # a band holds ranks lo..hi-1, its anchor rank lo - 1: the next lo is hi
+        a, seen = bisect_left(rs, rank[grid[dim - 1][0][0]] + 1), None
+        for line in grid[dim - 1]:
+            anchor, band, hi, low = line
+            theta = col[anchor]
+            b = bisect_left(rs, hi, a)  # ids[a:b] are the band's members
+            if b == len(ids):
+                break  # this line and those after it leave the right side empty
+            if col[ids[b]] == theta:
+                # the band is all theta, and the members past it that equal
+                # theta go left with ids[:a]
+                start = bisect_right(ids, theta, b, key=col.__getitem__)
+                if start < len(ids):
+                    odd.append((len(heads), mask & low & ~band))
+                    rsizes.append(len(ids) - start)
+                    heads.append(line)
+            elif a and (a, b) != seen:  # an earlier equal cut has the same total
+                seen = (a, b)
+                lsizes.append(a)
+                rsizes.append(len(ids) - b)
+                heads.append(line)
+            a = b
+        return lsizes, rsizes, odd, heads
+
     def two_leaves(mask: int) -> tuple[float, TreeNode | None, int]:
         flags = format(mask, f"0{costs.n}b")[::-1]
-        best, node = _INF, None
+        best, win = _INF, None
         for dim, (order, col) in enumerate(zip(costs.order, costs.cols), start=1):
             ids = [i for i in order if flags[i] == "1"]
-            vals = [col[i] for i in ids]
-            # one cut after each run of equal values but the last
-            sizes = [m for m in range(1, len(ids)) if vals[m - 1] != vals[m]]
-            lefts = costs.sweep(ids, dim, sizes, 1)
-            rights = costs.sweep(ids[::-1], dim, [len(ids) - m for m in reversed(sizes)], -1)
-            totals = [cl + cr for cl, cr in zip(lefts, reversed(rights))]
+            if grid is None:  # one cut after each run of equal values but the last
+                vals = [col[i] for i in ids]
+                lsizes = [m for m in range(1, len(ids)) if vals[m - 1] != vals[m]]
+                rsizes, odd, heads = [len(ids) - m for m in lsizes], (), None
+            else:
+                lsizes, rsizes, odd, heads = line_cuts(mask, ids, dim, col)
+            lefts, rights = costs.sides(ids, dim, lsizes, rsizes)
+            for t, lmask in odd:  # left sides that are not prefixes of ids
+                lefts.insert(t, costs.leaf(lmask))
+            totals = list(map(add, lefts, rights))
             low = min(totals, default=_INF)
             if low < best:
-                # ids ascend within a run, so its first is the lowest new member
                 t = totals.index(low)
-                best, node = low, cut_node(dim, 1 << ids[sizes[t - 1] if t else 0], _LEAF, _LEAF)
-        return best, node, 0
+                # ids ascend within a run, so its first is the lowest new member
+                head = heads[t][:2] if heads else (ids[lsizes[t - 1] if t else 0], 0)
+                best, win = low, (dim, *head)
+        dim, anchor, band = win or (0, 0, 0)
+        return best, win and cut_node(dim, 1 << anchor, _LEAF, _LEAF), mask & band
 
     def best_first(mask: int, s: int) -> tuple[float, TreeNode | None, int]:
         splits = list(_splits(mask, prefix))
@@ -315,17 +340,17 @@ def _split_search(
         seen = [(lmask & reps).bit_count() for _, lmask, _ in splits]
         distinct = (mask & reps).bit_count()
         ends = [0, *accumulate(len(list(run)) for _, run in groupby(splits, key=itemgetter(0)))]
-        best, at, node = _INF, -1, None
+        best, at, win = _INF, -1, None
 
         def price(s1: int, i: int) -> tuple[float, float]:
-            nonlocal best, at, node
+            nonlocal best, at, win
             dim, lmask, new = splits[i]
             cl, node_l, _ = solve(lmask, s1)
             cr, node_r, _ = solve(mask ^ lmask, s - s1)
             total = cl + cr
             pos = s1 * width + i
             if total < best or total == best < _INF and pos < at:
-                best, at, node = total, pos, cut_node(dim, new, node_l, node_r)
+                best, at, win = total, pos, (dim, new, node_l, node_r)
             return cl, cr
 
         heap: list[tuple[float, int, int, int, float, float, int]] = []
@@ -350,20 +375,19 @@ def _split_search(
                 heappush(heap, (f + gm, start, i, m, f, gm, s1))
             if j - m > 1:
                 heappush(heap, (fm + g, start - i + m, m, j, fm, g, s1))
-        return best, node, 0
+        return best, win and cut_node(*win), 0
 
     def grid_loop(mask: int, s: int) -> tuple[float, TreeNode | None, int]:
         splits = []
-        for dim, low, band, new in grid:
-            kept = mask & ~band
-            lmask = kept & low
-            if lmask and lmask != kept:
-                splits.append((dim, lmask, kept ^ lmask, lmask.bit_count(), new))
+        for dim, row in enumerate(grid, start=1):
+            for anchor, band, _, low in row:
+                kept = mask & ~band
+                lmask = kept & low
+                if lmask and lmask != kept:
+                    splits.append((dim, lmask, kept ^ lmask, lmask.bit_count(), 1 << anchor))
         # a split's right side may hold fewer than size - nl: then it costs inf
         size = mask.bit_count()
-        best = _INF
-        best_node: TreeNode | None = None
-        dropped = 0
+        best, win, dropped = _INF, None, 0
         for s1 in range(1, s):
             s2 = s - s1
             for dim, lmask, rmask, nl, new in splits:
@@ -375,22 +399,21 @@ def _split_search(
                 cr, node_r, dropped_r = solve(rmask, s2)
                 total = cl + cr
                 if total < best:
-                    best = total
-                    best_node = cut_node(dim, new, node_l, node_r)
+                    best, win = total, (dim, new, node_l, node_r)
                     dropped = (mask ^ lmask ^ rmask) | dropped_l | dropped_r
-        return best, best_node, dropped
+        return best, win and cut_node(*win), dropped
 
     def solve(mask: int, s: int) -> tuple[float, TreeNode | None, int]:
         if s == 1:
             return costs.leaf(mask), _LEAF, 0
         hit = memo.get((mask, s))
         if hit is None:
-            if grid is not None:
-                hit = grid_loop(mask, s)
-            elif s == 2:
+            if s == 2:
                 hit = two_leaves(mask)
-            else:
+            elif grid is None:
                 hit = best_first(mask, s)
+            else:
+                hit = grid_loop(mask, s)
             memo[(mask, s)] = hit
         return hit
 
@@ -503,12 +526,13 @@ def solve_approx(
     cost = _INF
     if nprime:
         thresholds, bands, anchors = _rank_grid(ds, nprime)
-        pts = ds.points
+        # per dimension and line: (anchor, band mask, band's end rank, mask of
+        # the points <= theta); line j's anchor has rank (j + 1) * n'
         grid = [
-            (dim, sum(1 << i for i, p in enumerate(pts) if p[dim - 1] <= theta),
-             sum(1 << i for i in band), 1 << anchor)
-            for dim in range(1, ds.d + 1)
-            for theta, band, anchor in zip(thresholds[dim - 1], bands[dim - 1], anchors[dim - 1])
+            [(anchor, sum(1 << i for i in band), (j + 1) * nprime + len(band),
+              sum(1 << i for i, p in enumerate(ds.points) if p[dim] <= theta))
+             for j, (theta, band, anchor) in enumerate(zip(*rows))]
+            for dim, rows in enumerate(zip(thresholds, bands, anchors))
         ]
         cost, root, dropped = _split_search(ds, k, kind, grid)
     if cost == _INF:

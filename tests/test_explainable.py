@@ -313,12 +313,13 @@ class TestExactCosts:
     @pytest.mark.parametrize("kind", BOTH_KINDS)
     def test_every_solver_leaf(self, kind, monkeypatch):
         priced = []  # (member ids, cost) of every leaf a solver priced
-        real_sweep, real_exact = explainable._LeafCosts.sweep, explainable._exact_cost
+        real_sides, real_exact = explainable._LeafCosts.sides, explainable._exact_cost
 
-        def sweep(self, ids, dim, sizes, sign):
-            costs = real_sweep(self, ids, dim, sizes, sign)
-            priced.extend((ids[:m], cost) for m, cost in zip(sizes, costs))
-            return costs
+        def sides(self, ids, dim, lsizes, rsizes):
+            lefts, rights = real_sides(self, ids, dim, lsizes, rsizes)
+            priced.extend((ids[:m], cost) for m, cost in zip(lsizes, lefts))
+            priced.extend((ids[len(ids) - r:], cost) for r, cost in zip(rsizes, rights))
+            return lefts, rights
 
         def exact(cols, ids, scale, kind):
             cost = real_exact(cols, ids, scale, kind)
@@ -336,7 +337,7 @@ class TestExactCosts:
                 assert cost == want, (pts, ids)
                 counts["inf"] += cost == math.inf
 
-        monkeypatch.setattr(explainable._LeafCosts, "sweep", sweep)
+        monkeypatch.setattr(explainable._LeafCosts, "sides", sides)
         monkeypatch.setattr(explainable, "_exact_cost", exact)
         for pts in [*_exactness_inputs(), *_overflowing_inputs()]:
             ds = Dataset(pts)
@@ -370,15 +371,15 @@ class TestExactCosts:
 
 def _count_two_leaf_states(monkeypatch):
     """A Counter whose "states" counts the two-leaf states the split search
-    prices from now on: each sweeps dimension 1 forward once."""
+    prices from now on: each prices the sides of dimension 1 once."""
     calls = Counter()
-    real = explainable._LeafCosts.sweep
+    real = explainable._LeafCosts.sides
 
-    def sweep(self, ids, dim, sizes, sign):
-        calls["states"] += dim == 1 and sign == 1
-        return real(self, ids, dim, sizes, sign)
+    def sides(self, ids, dim, lsizes, rsizes):
+        calls["states"] += dim == 1
+        return real(self, ids, dim, lsizes, rsizes)
 
-    monkeypatch.setattr(explainable._LeafCosts, "sweep", sweep)
+    monkeypatch.setattr(explainable._LeafCosts, "sides", sides)
     return calls
 
 
@@ -721,10 +722,49 @@ class TestSolveApprox:
         monkeypatch.setattr(explainable, "_exact_cost", counting)
         ds = Dataset(random_points(random.Random(47), 66, 2, hi=10**6))
         solve_approx(ds, 3, CostKind.MEANS, 0.1)
-        # 2,407 calls; without the leaf-cost map 7,976; the enumeration of
-        # every grid tree with bands dropped from every leaf priced 4,389
-        # leaves from its own memo, and 16,104 without it
+        # 115 calls: the two-leaf states price their sides by sorted passes;
+        # pricing each side of each of their cuts alone took 2,407 with the
+        # leaf-cost map and 7,976 without it
         assert calls[0] < 3000
+
+    def test_two_leaf_grid_states_price_few_leaves(self, monkeypatch):
+        calls = _count_two_leaf_states(monkeypatch)
+        real_exact = explainable._exact_cost
+
+        def exact(*args):
+            calls["leaf"] += 1
+            return real_exact(*args)
+
+        monkeypatch.setattr(explainable, "_exact_cost", exact)
+        ds = Dataset(random_points(random.Random(4), 90, 2, hi=10**6))
+        solve_approx(ds, 3, CostKind.MEANS, 0.1)
+        # 92 two-leaf states and 104 single leaves, the root's s1 = 1 and
+        # s1 = 2 sides; pricing each side of each grid cut alone takes 2,343
+        assert calls["states"] < 150 and calls["leaf"] < 300, calls
+
+    @pytest.mark.parametrize("kind", BOTH_KINDS)
+    def test_band_of_ties_crossed_by_its_threshold(self, kind, monkeypatch):
+        """The first line's band holds only copies of theta = 5 and point 6,
+        past the band, equals theta too: the line's left side {3, 0, 6} is
+        no prefix of the sorted members, so it is priced as one leaf."""
+        pts = ((5,), (10,), (5,), (0,), (5,), (9,), (5,))
+        ds = Dataset.from_rows(pts)
+        leaves = []
+        real_leaf = explainable._LeafCosts.leaf
+
+        def leaf(self, mask):
+            leaves.append(mask)
+            return real_leaf(self, mask)
+
+        monkeypatch.setattr(explainable._LeafCosts, "leaf", leaf)
+        got = solve_approx(ds, 2, kind, 0.6)  # n' = 2: lines at ranks 2, 4, 6
+        want = reference_solve_approx(ds, 2, kind, 0.6)
+        assert repr(got.cost) == repr(want.cost)
+        assert json.dumps(tree_to_json_obj(got.tree)) == json.dumps(tree_to_json_obj(want.tree))
+        assert (got.removed, got.kept, got.rank_grid) == (want.removed, want.kept, want.rank_grid)
+        assert leaves == [1 << 3 | 1 << 0 | 1 << 6]
+        if kind is CostKind.MEANS:  # the crossing line is the unique optimum
+            assert got.removed == {2, 4} and got.cost == 50 / 3 + 0.5
 
     def test_releases_its_memo(self, monkeypatch):
         class Cost(float):
