@@ -12,8 +12,9 @@ Diagnostics go to stderr. Exit codes: 0 success / positive answer, 1
 well-formed but negative or infeasible answer, 2 usage or input error
 (coordinates so large that a cost overflows a float included, and any
 report number that is not finite, which JSON cannot hold), 3
-internal failure (a failed self-check, RecursionError or MemoryError;
-stderr reads "error: internal: <Type>: <message>").
+internal failure (a failed self-check or any other unexpected exception;
+stderr reads "error: internal: <Type>: <message>"). Each subcommand
+imports only the solver modules it runs.
 """
 from __future__ import annotations
 
@@ -23,31 +24,15 @@ import json
 import math
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .core import CostKind, Dataset, LimitExceededError
-from .explainable import (
-    BRANCH_MAX_K,
-    DP_MAX_D,
-    DP_MAX_N,
-    lloyd_baseline,
-    solve_approx,
-    solve_branching,
-    solve_dp,
-)
-from .explanation import (
-    EXACT_MAX_D,
-    EXACT_MAX_N,
-    Clustering,
-    check_explainable,
-    exact_explain,
-    greedy_explain,
-    kernelize,
-)
-from .generate import gen_separated, gen_uniform, gen_xor
-from .oracle import brute_explainable, brute_explanation, brute_unconstrained
+from .core import (BRANCH_MAX_K, DP_MAX_D, DP_MAX_N, EXACT_MAX_D, EXACT_MAX_N, CostKind, Dataset,
+                   LimitExceededError)
 from .serialize import tree_to_dot, tree_to_json_obj
 from .tree import ThresholdTree, tree_evaluate
+
+if TYPE_CHECKING:
+    from .explanation import Clustering
 
 DEFAULT_LABEL_COL = "cluster"
 
@@ -102,6 +87,8 @@ def read_dataset(
 
 
 def read_clustering(path: str, label_col: str) -> Clustering:
+    from .explanation import Clustering
+
     ds, labels = read_dataset(path, label_col, require_labels=True)
     try:
         return Clustering.from_labels(ds, labels)
@@ -170,6 +157,8 @@ def _report(
 
 
 def cmd_check(args) -> int:
+    from .explanation import check_explainable
+
     cl = read_clustering(args.input, args.label_col)
     t0 = time.perf_counter()
     ok = check_explainable(cl)
@@ -181,6 +170,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from .explanation import exact_explain, greedy_explain
+
     cl = read_clustering(args.input, args.label_col)
     t0 = time.perf_counter()
     if args.method == "greedy":
@@ -205,6 +196,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    from .explanation import kernelize
+
     cl = read_clustering(args.input, args.label_col)
     t0 = time.perf_counter()
     kernel, mapping = kernelize(cl, args.budget)
@@ -235,6 +228,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .explainable import solve_approx, solve_branching, solve_dp
+
     ds, _ = read_dataset(args.input, args.label_col, require_labels=False)
     kind = CostKind(args.cost)
     t0 = time.perf_counter()
@@ -269,6 +264,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from .explainable import lloyd_baseline
+
     if args.explainable_cost is not None and not math.isfinite(args.explainable_cost):
         raise InputError("--explainable-cost must be finite")
     ds, _ = read_dataset(args.input, args.label_col, require_labels=False)
@@ -288,6 +285,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generate import gen_separated, gen_uniform, gen_xor
+
     t0 = time.perf_counter()
     if args.shape == "separated":
         cl = gen_separated(args.k, args.per_cluster, args.dim, args.separation, args.seed)
@@ -316,6 +315,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import brute_explainable, brute_explanation, brute_unconstrained
+
     solver = f"brute_{args.which}"
     if args.which == "explanation":
         cl = read_clustering(args.input, args.label_col)
@@ -430,7 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OverflowError:
         print("error: a cost overflows a float: the coordinates are too large", file=sys.stderr)
         return 2
-    except (AssertionError, RecursionError, MemoryError) as exc:
+    except Exception as exc:  # a bug is never a negative answer (exit 1)
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

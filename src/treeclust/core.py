@@ -22,6 +22,15 @@ class LimitExceededError(RuntimeError):
     """An input exceeds a solver's configured size limits."""
 
 
+# Guard rails: the exact solvers refuse larger instances unless forced.
+# exact_explain's state space is exponential in the dimension.
+EXACT_MAX_N = 30
+EXACT_MAX_D = 3
+BRANCH_MAX_K = 8
+DP_MAX_N = 40
+DP_MAX_D = 4
+
+
 class CostKind(Enum):
     MEANS = "means"
     MEDIANS = "medians"

@@ -23,17 +23,14 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush, heapreplace
-from itertools import accumulate, count, groupby, repeat
+from heapq import heappop, heappush, heappushpop
+from itertools import accumulate, count, groupby, repeat, zip_longest
 from operator import add, itemgetter, truediv
 
-from .core import (CostKind, Cut, Dataset, LimitExceededError, Point, _exact_cost, _int_columns,
-                   _prefix_masks, _splits, centroid, cluster_cost)
+from .core import (BRANCH_MAX_K, DP_MAX_D, DP_MAX_N, CostKind, Cut, Dataset, LimitExceededError,
+                   Point, _exact_cost, _int_columns, _prefix_masks, _splits, centroid,
+                   cluster_cost)
 from .tree import Internal, Leaf, ThresholdTree, TreeNode, tree_evaluate
-
-BRANCH_MAX_K = 8
-DP_MAX_N = 40
-DP_MAX_D = 4
 
 _INF = math.inf
 _NORMAL = 2.0 ** -1022  # the least positive normal float
@@ -164,35 +161,27 @@ def _quotient(num: int, den: int) -> float:
 
 def _running_l1(vals: list[int], sizes: list[int]) -> list[int]:
     """The L1 cost about the median of vals[:m], times E, for each m in
-    ``sizes``, which do not decrease, for vals in any order: a max-heap
-    ``lower`` (negated) keeps the ceil(m/2) smallest values and ``upper``
-    the rest."""
+    ``sizes``, for vals in any order. One pass takes the values two at a
+    time and records the cost after each: a max-heap ``lower`` (negated)
+    keeps the ceil(m/2) smallest values and ``upper`` the rest, and
+    ``diff`` is sum(upper) - sum(lower), the cost at even m; at odd m the
+    median tops ``lower`` and counts once more."""
     lower: list[int] = []
     upper: list[int] = []
-    low_sum = up_sum = start = 0
-    even = True  # len(lower) == len(upper)
-    nums = []
-    for m in sizes:
-        for v in vals[start:m]:
-            if even:
-                if upper and v > upper[0]:
-                    y = heapreplace(upper, v)
-                    up_sum += v - y
-                    v = y
-                heappush(lower, -v)
-                low_sum += v
-            else:
-                if v < -lower[0]:
-                    y = -heapreplace(lower, -v)
-                    low_sum += v - y
-                    v = y
-                heappush(upper, v)
-                up_sum += v
-            even = not even
-        start = m
-        # with m odd the lower median sits atop `lower`, outside both halves
-        nums.append(up_sum - low_sum - (lower[0] if m & 1 else 0))
-    return nums
+    diff = 0
+    costs = [0]
+    for a, b in zip_longest(*[iter(vals)] * 2):
+        y = heappushpop(upper, a)  # lower gains the least of upper and a
+        heappush(lower, -y)
+        diff += a - 2 * y
+        costs.append(diff - lower[0])
+        if b is None:
+            break
+        y = -heappushpop(lower, -b)  # upper gains the largest of lower and b
+        heappush(upper, y)
+        diff += 2 * y - b
+        costs.append(diff)
+    return list(map(costs.__getitem__, sizes))
 
 
 def _split_search(
@@ -210,8 +199,12 @@ def _split_search(
     band's members from the state and splits the rest (no cut when a side
     is left empty). A state takes the first cut of least total in the
     order s1 = 1..s-1, then the cuts; a grid state with quota s >= 3 tries
-    them in that order, skips a cut whose left optimum already reaches the
-    best total and keeps only a strictly better one.
+    them in that order and keeps only a strictly better one. It skips a cut
+    whose left optimum already reaches the best total, and a cut whose
+    right side is one leaf that alone reaches it, before its left side is
+    priced. Costs are >= 0 and float addition is monotone, so such a cut's
+    total is at least the best and cannot replace it; skipping it only
+    leaves a state unmemoized.
 
     Leaf costs are exactly rounded (``_LeafCosts``), inf where they
     overflow a float; single leaves go through its map. A state with quota
@@ -393,6 +386,8 @@ def _split_search(
             for dim, lmask, rmask, nl, new in splits:
                 if nl < s1 or size - nl < s2:
                     continue
+                if s2 == 1 and costs.leaf(rmask) >= best:
+                    continue  # the right leaf alone reaches the best total
                 cl, node_l, dropped_l = solve(lmask, s1)
                 if cl >= best:
                     continue

@@ -15,15 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Cut, Dataset, LimitExceededError, Point, _prefix_masks, _splits
+from .core import (EXACT_MAX_D, EXACT_MAX_N, Cut, Dataset, LimitExceededError, Point,
+                   _prefix_masks, _splits)
 from .tree import Internal, Leaf, ThresholdTree, TreeNode
 
 _INF = 1 << 40
-
-# Exact solver refuses larger instances unless forced; the state space is
-# exponential in the dimension.
-EXACT_MAX_N = 30
-EXACT_MAX_D = 3
 
 
 @dataclass(frozen=True)

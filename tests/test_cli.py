@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import treeclust
-from treeclust import cli
+from treeclust import cli, explainable, explanation
 
 SEP_CSV = "x1,x2,cluster\n0,0,1\n1,1,1\n10,0,2\n11,1,2\n"
 XOR_CSV = "x1,x2,cluster\n0,0,1\n1,1,1\n0,1,2\n1,0,2\n"
@@ -55,11 +55,21 @@ class TestCheck:
         def broken(cl):
             raise AssertionError("DP survivors are not explainable")
 
-        monkeypatch.setattr(cli, "check_explainable", broken)
+        # cmd_check looks the checker up in its module when it runs
+        monkeypatch.setattr(explanation, "check_explainable", broken)
         assert cli.main(["check", sep_csv]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: internal:")
         assert "AssertionError: DP survivors are not explainable" in err
+
+    def test_unexpected_exception_exits_three(self, sep_csv, monkeypatch, capsys):
+        # any bug, not only a failed self-check, is an internal failure
+        def broken(*args, **kwargs):
+            raise KeyError(7)
+
+        monkeypatch.setattr(explainable, "solve_dp", broken)
+        assert cli.main(["fit", sep_csv, "--k", "2"]) == 3
+        assert capsys.readouterr().err == "error: internal: KeyError: 7\n"
 
     def test_missing_file_exits_two(self):
         proc = run_cli("check", "no-such-file.csv")
@@ -412,6 +422,14 @@ class TestPublicSurface:
         ]
         for name in treeclust.__all__:
             assert getattr(treeclust, name) is not None
+
+    def test_cli_imports_no_solver_module_up_front(self):
+        code = ("import sys, treeclust.cli; "
+                "print(' '.join(sorted(m for m in sys.modules if m.startswith('treeclust'))))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout.split() == [
+            "treeclust", "treeclust.cli", "treeclust.core", "treeclust.serialize", "treeclust.tree",
+        ]
 
     def test_help_exits_zero(self):
         proc = run_cli("--help")

@@ -369,6 +369,29 @@ class TestExactCosts:
         assert counts["inf"] > 50 or kind is CostKind.MEDIANS, counts
 
 
+def test_running_l1_matches_sorted_halves():
+    """_running_l1 against the L1 cost of each prefix from its sorted
+    halves: the top floor(m/2) values' sum minus the bottom floor(m/2)'s."""
+    def brute(vals, sizes):
+        out = []
+        for m in sizes:
+            s = sorted(vals[:m])
+            out.append(sum(s[m - m // 2:]) - sum(s[:m // 2]))
+        return out
+
+    rng = random.Random(18)
+    assert explainable._running_l1([], []) == []
+    assert explainable._running_l1([], [0]) == [0]
+    for t in range(600):
+        n = rng.randint(1, 25)
+        hi = (3, 100, 2**62)[t % 3]  # repeats, spread, above 2^60
+        vals = [rng.randint(-hi, hi) for _ in range(n)]
+        dense = list(range(n + 1))
+        sparse = sorted(rng.sample(range(n + 1), rng.randint(0, min(3, n + 1))))
+        for sizes in (dense, sparse, []):
+            assert explainable._running_l1(vals, sizes) == brute(vals, sizes), (vals, sizes)
+
+
 def _count_two_leaf_states(monkeypatch):
     """A Counter whose "states" counts the two-leaf states the split search
     prices from now on: each prices the sides of dimension 1 once."""
@@ -722,7 +745,7 @@ class TestSolveApprox:
         monkeypatch.setattr(explainable, "_exact_cost", counting)
         ds = Dataset(random_points(random.Random(47), 66, 2, hi=10**6))
         solve_approx(ds, 3, CostKind.MEANS, 0.1)
-        # 115 calls: the two-leaf states price their sides by sorted passes;
+        # 124 calls: the two-leaf states price their sides by sorted passes;
         # pricing each side of each of their cuts alone took 2,407 with the
         # leaf-cost map and 7,976 without it
         assert calls[0] < 3000
@@ -738,9 +761,11 @@ class TestSolveApprox:
         monkeypatch.setattr(explainable, "_exact_cost", exact)
         ds = Dataset(random_points(random.Random(4), 90, 2, hi=10**6))
         solve_approx(ds, 3, CostKind.MEANS, 0.1)
-        # 92 two-leaf states and 104 single leaves, the root's s1 = 1 and
-        # s1 = 2 sides; pricing each side of each grid cut alone takes 2,343
-        assert calls["states"] < 150 and calls["leaf"] < 300, calls
+        # 67 two-leaf states and 112 single leaves, the root's s1 = 1 and
+        # s1 = 2 sides; pricing each side of each grid cut alone takes 2,343,
+        # and pricing the two-leaf side of a cut whose one-leaf side already
+        # reaches the best total makes 92 states
+        assert calls["states"] < 80 and calls["leaf"] < 300, calls
 
     @pytest.mark.parametrize("kind", BOTH_KINDS)
     def test_band_of_ties_crossed_by_its_threshold(self, kind, monkeypatch):
