@@ -22,6 +22,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from typing import TYPE_CHECKING, Sequence
@@ -198,6 +199,9 @@ def cmd_explain(args) -> int:
 def cmd_kernel(args) -> int:
     from .explanation import kernelize
 
+    mapping_path = args.mapping or args.output + ".mapping.json"
+    if os.path.realpath(mapping_path) == os.path.realpath(args.output):
+        raise InputError(f"--output and --mapping name the same file: {args.output}")
     cl = read_clustering(args.input, args.label_col)
     t0 = time.perf_counter()
     kernel, mapping = kernelize(cl, args.budget)
@@ -208,7 +212,6 @@ def cmd_kernel(args) -> int:
         for p, lab in zip(kernel.ds.points, kernel.labels)
     ]
     write_csv(args.output, header, rows)
-    mapping_path = args.mapping or args.output + ".mapping.json"
     try:
         with open(mapping_path, "w", encoding="utf-8") as fh:
             json.dump({str(k): v for k, v in mapping.items()}, fh, indent=2)

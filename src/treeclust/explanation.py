@@ -8,7 +8,9 @@ explainability test walks the same recursion and stops at the first node
 whose cheapest cut removes a point. The exact path runs a dynamic program
 over the boxes that canonical cuts carve out, keyed by the box's member
 bitmask (boxes with the same points share one state), with cluster subsets
-tracked as bitmasks.
+tracked as bitmasks. Each state memoizes the mask of the members its best
+subtree removes, so the root's entry is the answer and no reconstruction
+walk follows.
 """
 from __future__ import annotations
 
@@ -18,8 +20,6 @@ from typing import Sequence
 from .core import (EXACT_MAX_D, EXACT_MAX_N, Cut, Dataset, LimitExceededError, Point,
                    _prefix_masks, _splits)
 from .tree import Internal, Leaf, ThresholdTree, TreeNode
-
-_INF = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,11 @@ class Clustering:
 
     @classmethod
     def from_labels(cls, ds: Dataset, labels: Sequence[int]) -> "Clustering":
-        labels = tuple(int(x) for x in labels)
-        return cls(ds, labels, max(labels) if labels else 0)
+        labels = tuple(labels)
+        ints = tuple(int(x) for x in labels)
+        if ints != labels:  # int() would truncate 1.7 to 1
+            raise ValueError("labels must be integers")
+        return cls(ds, ints, max(ints) if ints else 0)
 
     def cluster_ids(self, label: int) -> tuple[int, ...]:
         return tuple(i for i, l in enumerate(self.labels) if l == label)
@@ -217,15 +220,19 @@ class _ExactSolver:
     """Box dynamic program for minimum-outlier explanation.
 
     State: the member bitmask ``bm`` of a box carved out by canonical cuts
-    plus the bitmask ``S`` of clusters allowed to survive in it. Boxes
-    holding the same points have the same optimum, so they share one state;
-    a box's cuts are those of ``core._splits``, which skips cuts that leave
-    one side empty (such a cut would map a state to itself).
+    plus the bitmask ``S`` of clusters allowed to survive in it (bit lab-1
+    for cluster lab). Boxes holding the same points have the same optimum,
+    so they share one state; a box's cuts are those of ``core._splits``,
+    which skips cuts that leave one side empty (such a cut would map a
+    state to itself).
 
-    Value: the number of the box's members that the best subtree removes.
-    A leaf keeps one cluster c of S, or none, and removes |bm| − |c ∩ bm|.
-    A cut gives each cluster of S to one side and is worth the sum of its
-    two children.
+    Value: the mask of the box's members that the best subtree removes,
+    memoized per state, so the root's entry is the whole removal set and
+    no second walk rebuilds it. A leaf keeps one cluster c of S, or none,
+    and removes the box's members outside c. A cut gives each cluster of S
+    to one side and removes the union of its two children's masks; the
+    boxes are disjoint, so its size is the sum of theirs. The first
+    smallest candidate wins.
 
     Invariant: every cluster in S has a member in the box. Every cluster is
     nonempty at the root, and a child's S takes only clusters present on
@@ -233,100 +240,64 @@ class _ExactSolver:
 
     Both prunes are admissible. A cluster of S survives only in this box, so
     any tree through this state also removes its members outside the box,
-    lost(bm, S). A state whose value + lost exceeds the budget therefore
-    saturates to ``_INF``. A cluster with members inside and outside the box
-    adds at least one to value + lost, through lost if it is in S and
-    through the value otherwise, so a box that splits more clusters than
-    the budget saturates before any cut is tried.
+    lost(bm, S). A state whose removals + lost exceed the budget therefore
+    saturates to ``None``. A cluster with members inside and outside the
+    box adds at least one to removals + lost, through lost if it is in S
+    and through the removals otherwise, so a box that splits more clusters
+    than the budget saturates before any cut is tried.
     """
 
     def __init__(self, cl: Clustering, budget: int):
-        self.k = cl.k
         self.budget = budget
         self.full = (1 << cl.ds.n) - 1
         self.prefix = _prefix_masks(cl.ds.points)
-        self.cmask = [0] * (self.k + 1)  # cmask[0] stays empty
+        self.cmask = [0] * (cl.k + 1)  # cmask[0] stays empty
         for pid, lab in enumerate(cl.labels):
             self.cmask[lab] |= 1 << pid
-        self.memo: dict[tuple[int, int], tuple[int, tuple | None]] = {}
-        self.all_smask = (1 << self.k) - 1  # bit lab-1 = cluster lab kept
+        self.memo: dict[tuple[int, int], int | None] = {}
 
-    def solve(self) -> int:
-        return self.w(self.full, self.all_smask)
+    def solve(self) -> int | None:
+        return self.w(self.full, (1 << (len(self.cmask) - 1)) - 1)
 
-    def w(self, bm: int, smask: int) -> int:
-        entry = self.memo.get((bm, smask))
-        if entry is not None:
-            return entry[0]
-        value, choice = self._compute(bm, smask)
-        self.memo[(bm, smask)] = (value, choice)
-        return value
+    def w(self, bm: int, smask: int) -> int | None:
+        key = (bm, smask)
+        if key not in self.memo:
+            self.memo[key] = self._compute(bm, smask)
+        return self.memo[key]
 
-    def _compute(self, bm: int, smask: int) -> tuple[int, tuple | None]:
+    def _compute(self, bm: int, smask: int) -> int | None:
         notbm = self.full ^ bm
         nsplit = sum(1 for cm in self.cmask if cm & bm and cm & notbm)
         if nsplit > self.budget:
-            return _INF, None
-        kept = [lab for lab in range(1, self.k + 1) if smask >> (lab - 1) & 1]
+            return None
+        kept = [lab for lab in range(1, len(self.cmask)) if smask >> (lab - 1) & 1]
         lost = sum((self.cmask[lab] & notbm).bit_count() for lab in kept)
-        size = bm.bit_count()
-        best, best_choice = size, ("leaf", 0)
+        best = bm  # the leaf that keeps no cluster
         for lab in kept:
-            val = size - (self.cmask[lab] & bm).bit_count()
-            if val < best:
-                best, best_choice = val, ("leaf", lab)
+            gone = bm & ~self.cmask[lab]
+            if gone.bit_count() < best.bit_count():
+                best = gone
         # A cut can beat a leaf only when it keeps two clusters apart.
         cuts = _splits(bm, self.prefix) if len(kept) > 1 else ()
         for _, lbm, _ in cuts:
             rbm = bm ^ lbm
-            forced1 = 0
-            free: list[int] = []
+            left = right = 0  # kept clusters with members on each side
             for lab in kept:
-                cm = self.cmask[lab]
-                if cm & lbm:
-                    if cm & rbm:
-                        free.append(lab)
-                    else:
-                        forced1 |= 1 << (lab - 1)
-            for fsub in range(1 << len(free)):
-                smask1 = forced1
-                for idx, lab in enumerate(free):
-                    if fsub >> idx & 1:
-                        smask1 |= 1 << (lab - 1)
-                smask2 = smask ^ smask1
-                w1 = self.w(lbm, smask1)
-                if w1 >= _INF:
-                    continue
-                w2 = self.w(rbm, smask2)
-                if w2 >= _INF:
-                    continue
-                if w1 + w2 < best:
-                    best = w1 + w2
-                    best_choice = ("cut", lbm, smask1, smask2)
-        if best + lost > self.budget:
-            best = _INF
-        return best, best_choice
-
-    def removal_set(self) -> set[int]:
-        removed: set[int] = set()
-        self._collect(self.full, self.all_smask, removed)
-        return removed
-
-    def _collect(self, bm: int, smask: int, out: set[int]) -> None:
-        _, choice = self.memo[(bm, smask)]
-        if choice is None:
-            raise AssertionError("reconstruction reached an infeasible state")
-        if choice[0] == "cut":
-            _, lbm, smask1, smask2 = choice
-            self._collect(lbm, smask1, out)
-            self._collect(bm ^ lbm, smask2, out)
-            return
-        # a leaf: every member outside its one surviving cluster goes
-        gone = bm & (self.full ^ self.cmask[choice[1]])
-        while gone:
-            low = gone & -gone
-            out.add(low.bit_length() - 1)
-            gone ^= low
+                if self.cmask[lab] & lbm:
+                    left |= 1 << (lab - 1)
+                if self.cmask[lab] & rbm:
+                    right |= 1 << (lab - 1)
+            free = sub = left & right
+            while True:  # each subset of free goes left, ascending
+                sub = (sub - free) & free
+                smask1 = (left ^ free) | sub
+                g1 = self.w(lbm, smask1)
+                g2 = None if g1 is None else self.w(rbm, smask ^ smask1)
+                if g2 is not None and (g1 | g2).bit_count() < best.bit_count():
+                    best = g1 | g2
+                if sub == free:
+                    break
+        return None if best.bit_count() + lost > self.budget else best
 
 
 def exact_explain(
@@ -340,18 +311,15 @@ def exact_explain(
             f"exact explanation limited to n <= {EXACT_MAX_N}, d <= {EXACT_MAX_D}; "
             "use the greedy method or kernelize first (or force)"
         )
-    solver = _ExactSolver(cl, budget=min(s, cl.ds.n))
-    value = solver.solve()
-    if value >= _INF or value > s:
+    gone = _ExactSolver(cl, budget=min(s, cl.ds.n)).solve()
+    if gone is None:
         return None
-    removed = solver.removal_set()
-    if len(removed) != value:
-        raise AssertionError("reconstructed removal disagrees with DP value")
-    survivors = [i for i in range(cl.ds.n) if i not in removed]
+    survivors = [i for i in range(cl.ds.n) if not gone >> i & 1]
     extra, root = _greedy(cl.ds.points, cl.labels, survivors)
     if extra:
         raise AssertionError("DP survivors are not explainable")
-    return ExplanationResult(frozenset(removed), ThresholdTree(root))
+    removed = frozenset(i for i in range(cl.ds.n) if gone >> i & 1)
+    return ExplanationResult(removed, ThresholdTree(root))
 
 
 def opt_explain(cl: Clustering, *, force: bool = False) -> tuple[int, ExplanationResult]:

@@ -24,6 +24,20 @@ def tree_to_json_obj(tree: ThresholdTree) -> dict:
     return {"k": tree.leaf_count, "tree": encode(tree.root)}
 
 
+def _number(node: dict, field: str, kind: type) -> int | float:
+    """``node[field]`` as an int or a float; null, a list or (for an int) a
+    fraction or a string is malformed, never truncated."""
+    value = node[field]
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (kind is int and number != value):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{field} must be {what}, got {value!r}")
+    return number
+
+
 def tree_from_json_obj(obj: dict) -> ThresholdTree:
     if not isinstance(obj, dict) or "tree" not in obj or "k" not in obj:
         raise ValueError('tree JSON must be {"k": int, "tree": node}')
@@ -32,15 +46,15 @@ def tree_from_json_obj(obj: dict) -> ThresholdTree:
         if not isinstance(node, dict):
             raise ValueError("tree node must be a JSON object")
         if "leaf" in node:
-            return Leaf(int(node["leaf"]))
-        try:
-            cut = Cut(int(node["dim"]), float(node["theta"]))
-            return Internal(cut, decode(node["left"]), decode(node["right"]))
-        except KeyError as exc:
-            raise ValueError(f"internal node missing field {exc}") from exc
+            return Leaf(_number(node, "leaf", int))
+        missing = [f for f in ("dim", "theta", "left", "right") if f not in node]
+        if missing:
+            raise ValueError(f"internal node missing field {missing[0]!r}")
+        cut = Cut(_number(node, "dim", int), _number(node, "theta", float))
+        return Internal(cut, decode(node["left"]), decode(node["right"]))
 
     tree = ThresholdTree(decode(obj["tree"]))
-    if tree.leaf_count != int(obj["k"]):
+    if tree.leaf_count != _number(obj, "k", int):
         raise ValueError("leaf count does not match declared k")
     return tree
 

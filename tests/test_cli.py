@@ -142,6 +142,19 @@ class TestKernel:
         mapping = json.loads((tmp_path / "kern.csv.mapping.json").read_text())
         assert len(mapping) == report["result"]["kernel_size"]
 
+    def test_mapping_onto_output_is_refused(self, sep_csv, tmp_path):
+        # the mapping JSON would overwrite the kernel CSV it maps
+        out = tmp_path / "kern.csv"
+        alias = tmp_path / "sub" / ".." / "kern.csv"
+        (tmp_path / "sub").mkdir()
+        for mapping in (out, alias):
+            proc = run_cli("kernel", sep_csv, "--budget", "1", "--output", str(out),
+                           "--mapping", str(mapping))
+            assert proc.returncode == 2
+            assert "same file" in proc.stderr
+            assert proc.stdout == ""
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["sep.csv", "sub"]
+
 
 class TestFit:
     def test_dp_cost(self, tmp_path):

@@ -59,6 +59,13 @@ class TestClusteringValidation:
         assert cl.k == 2
         assert cl.cluster_ids(1) == (0, 2)
 
+    def test_from_labels_rejects_non_integers(self):
+        ds = Dataset.from_rows([(0,), (1,)])
+        assert Clustering.from_labels(ds, [1, 2.0]).labels == (1, 2)
+        for labels in ([1.7, 2.2], [1, 2.5], ["1", 2]):
+            with pytest.raises(ValueError, match="labels must be integers"):
+                Clustering.from_labels(ds, labels)
+
 
 class TestBestCut:
     def test_clean_separation_costs_zero(self):
@@ -346,6 +353,32 @@ class TestExactExplain:
                     for lab in range(1, cl.k + 1):
                         if smask >> (lab - 1) & 1:
                             assert solver.cmask[lab] & bm
+
+    def test_memo_holds_each_states_removals(self):
+        # a state's entry is the mask of its box members that its best
+        # subtree removes (None when it saturates); the root's entry is the
+        # removal set exact_explain returns
+        rng = random.Random(31)
+        for _ in range(200):
+            k = rng.randint(2, 4)
+            cl = mixed_instance(rng, rng.randint(k, 10), rng.randint(1, 3), k)
+            for s in (0, 1, 3):
+                solver = _ExactSolver(cl, s)
+                root = solver.solve()
+                for (bm, smask), gone in solver.memo.items():
+                    if gone is None:
+                        continue
+                    assert gone & ~bm == 0
+                    kept = [lab for lab in range(1, cl.k + 1) if smask >> (lab - 1) & 1]
+                    survivors = bm & ~gone
+                    assert all(any(solver.cmask[lab] >> i & 1 for lab in kept)
+                               for i in range(cl.ds.n) if survivors >> i & 1)
+                    lost = sum((solver.cmask[lab] & ~bm).bit_count() for lab in kept)
+                    assert gone.bit_count() + lost <= s
+                result = exact_explain(cl, s)
+                assert (result is None) == (root is None)
+                if result is not None:
+                    assert result.removed == {i for i in range(cl.ds.n) if root >> i & 1}
 
     def test_guard_rail_and_force(self):
         rng = random.Random(26)

@@ -47,6 +47,20 @@ def test_malformed_json_rejected():
         tree_from_json_obj({"k": 2, "tree": {"dim": 1}})
     with pytest.raises(ValueError):
         tree_from_json_obj({"k": 2, "tree": {"leaf": 1}})  # k mismatch
+    # wrong types raise ValueError, not TypeError, and fractions are not
+    # truncated to an integer field
+    leaves = {"left": {"leaf": 1}, "right": {"leaf": 2}}
+    for obj in (
+        {"k": [1], "tree": {"leaf": 1}},
+        {"k": 1, "tree": {"leaf": [1]}},
+        {"k": 2, "tree": {"dim": 1, "theta": None, **leaves}},
+        {"k": 1, "tree": {"leaf": 1.9}},
+        {"k": 2, "tree": {"dim": 1.5, "theta": 0.0, **leaves}},
+        {"k": 1.5, "tree": {"leaf": 1}},
+    ):
+        with pytest.raises(ValueError):
+            tree_from_json_obj(obj)
+    assert tree_from_json_obj({"k": 1.0, "tree": {"leaf": 2.0}}) == ThresholdTree(Leaf(2))
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", float("nan")])
