@@ -2,15 +2,16 @@
 clustering by removing outliers, plus instance kernelization.
 
 The greedy path repeatedly picks the cheapest separating cut, the least
-(removal count, dim, θ), found by one sorted sweep per dimension with
-per-cluster left/right counts: O(d·n log n + d·n·k) per tree node. The
-explainability test walks the same recursion and stops at the first node
-whose cheapest cut removes a point. The exact path runs a dynamic program
-over the boxes that canonical cuts carve out, keyed by the box's member
-bitmask (boxes with the same points share one state), with cluster subsets
-tracked as bitmasks. Each state memoizes the mask of the members its best
-subtree removes, so the root's entry is the answer and no reconstruction
-walk follows.
+(removal count, dim, θ), found by one sorted sweep per dimension that keeps
+running left/right counts and prices each threshold in O(1), or in O(k)
+where every cluster has its majority on one side: O(d·n log n + d·n) per
+tree node plus O(k) per such threshold. The explainability test walks the
+same recursion and stops at the first node whose cheapest cut removes a
+point. The exact path runs a dynamic program over the boxes that canonical
+cuts carve out, keyed by the box's member bitmask (boxes with the same
+points share one state), with cluster subsets tracked as bitmasks. Each
+state memoizes the mask of the members its best subtree removes, so the
+root's entry is the answer and no reconstruction walk follows.
 """
 from __future__ import annotations
 
@@ -45,7 +46,10 @@ class Clustering:
     @classmethod
     def from_labels(cls, ds: Dataset, labels: Sequence[int]) -> "Clustering":
         labels = tuple(labels)
-        ints = tuple(int(x) for x in labels)
+        try:
+            ints = tuple(int(x) for x in labels)
+        except (TypeError, ValueError, OverflowError):  # None, nan, inf
+            ints = None
         if ints != labels:  # int() would truncate 1.7 to 1
             raise ValueError("labels must be integers")
         return cls(ds, ints, max(ints) if ints else 0)
@@ -121,35 +125,61 @@ def _best_cut(
     """Cheapest canonical cut of the active points and its removal set.
 
     Ties go to the least key (removal count, dim, θ). One stable sort per
-    dimension; the sweep then walks runs of equal coordinates, keeps
-    per-cluster left/right counts and prices each threshold in O(k), so a node
-    costs O(d·n log n + d·n·k). θ is the coordinate of the run's first
-    active point, which keeps the sign of a zero. Cuts come in key order,
-    so the scan stops at the first one that removes nothing. Only the
-    winner's removal set is built.
+    dimension; the sweep then walks runs of equal coordinates, moving each
+    point from the right side to the left in O(1) while it keeps the
+    per-cluster left/right counts, Σ_j min(left_j, right_j) and the numbers
+    of clusters with a left and with a right majority. These price a
+    threshold by ``_drop_left``'s case analysis: Σ min when the majorities
+    are mixed, and Σ min corrected by one O(k) argmin when every cluster
+    has its majority on one side. So a node costs O(d·n log n + d·n), plus
+    O(k) per one-sided threshold. θ is the coordinate of the run's first active
+    point, which keeps the sign of a zero. Cuts come in key order, so the
+    scan stops at the first one that removes nothing. Only the winner's
+    removal set is built.
     """
     present = sorted({labels[i] for i in active})
-    if len(present) < 2:
+    m = len(present)
+    if m < 2:
         raise ValueError("best cut needs at least two nonempty clusters")
     slot = {lab: j for j, lab in enumerate(present)}
-    total = [0] * len(present)
+    total = [0] * m
     for i in active:
         total[slot[labels[i]]] += 1
     best: tuple[int, int, float] | None = None
     for dim in range(1, len(pts[0]) + 1):
         order = sorted(active, key=lambda i: pts[i][dim - 1])
-        left = [0] * len(present)
+        left = [0] * m
         right = total[:]
+        mins = n_left = 0  # Σ min(left_j, right_j); clusters with left_j > right_j
+        n_right = m  # clusters with right_j > left_j
         pos = 0
         while pos < len(order):
             theta = pts[order[pos]][dim - 1]
             while pos < len(order) and pts[order[pos]][dim - 1] == theta:
                 j = slot[labels[order[pos]]]
-                left[j] += 1
-                right[j] -= 1
+                l = left[j] = left[j] + 1
+                r = right[j] = right[j] - 1
+                # left_j − right_j grew by 2, to l − r.
+                if l <= r:
+                    mins += 1
+                    if l == r:
+                        n_right -= 1
+                elif l == r + 1:
+                    n_left += 1
+                    n_right -= 1
+                else:
+                    mins -= 1
+                    if l == r + 2:
+                        n_left += 1
                 pos += 1
-            drops = _drop_left(left, right)
-            count = sum(l if drop else r for l, r, drop in zip(left, right, drops))
+            if n_left == m:
+                c = left.index(min(left))
+                count = mins - right[c] + left[c]
+            elif n_right == m:
+                c = right.index(min(right))
+                count = mins - left[c] + right[c]
+            else:
+                count = mins
             key = (count, dim, theta)
             if best is None or key < best:
                 best = key
@@ -188,8 +218,9 @@ def _greedy(
 def best_cut(cl: Clustering, active: set[int]) -> tuple[Cut, set[int]]:
     """Cheapest canonical cut over the active points, with its removal set.
 
-    Ties go to the least (removal count, dim, θ); O(d·n log n + d·n·k) for
-    n active points and k clusters among them."""
+    Ties go to the least (removal count, dim, θ); O(d·n log n + d·n) for n
+    active points, plus O(k) at each threshold where all k clusters among
+    them have their majority on one side."""
     return _best_cut(cl.ds.points, cl.labels, sorted(active))
 
 

@@ -25,11 +25,12 @@ def tree_to_json_obj(tree: ThresholdTree) -> dict:
 
 
 def _number(node: dict, field: str, kind: type) -> int | float:
-    """``node[field]`` as an int or a float; null, a list or (for an int) a
-    fraction or a string is malformed, never truncated."""
+    """``node[field]`` as an int or a float; null, a boolean, a list or (for
+    an int) a fraction or a string is malformed, never truncated."""
     value = node[field]
     try:
-        number = kind(value)
+        # bool is an int subclass: int(True) == True would pass as 1
+        number = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (kind is int and number != value):

@@ -6,8 +6,12 @@ import pytest
 
 from treeclust import (
     Clustering,
+    Cut,
     Dataset,
+    Internal,
+    Leaf,
     LimitExceededError,
+    ThresholdTree,
     best_cut,
     brute_explanation,
     check_explainable,
@@ -62,7 +66,7 @@ class TestClusteringValidation:
     def test_from_labels_rejects_non_integers(self):
         ds = Dataset.from_rows([(0,), (1,)])
         assert Clustering.from_labels(ds, [1, 2.0]).labels == (1, 2)
-        for labels in ([1.7, 2.2], [1, 2.5], ["1", 2]):
+        for labels in ([1.7, 2.2], [1, 2.5], ["1", 2], [1, math.inf], [1, math.nan], [1, None]):
             with pytest.raises(ValueError, match="labels must be integers"):
                 Clustering.from_labels(ds, labels)
 
@@ -145,6 +149,49 @@ class TestBestCutSweep:
             seen.add(cut_case(cl, active, cut.dim, cut.theta))
         assert seen == {"all-left", "all-left, last threshold", "all-right", "mixed",
                         "mixed, balanced"}
+
+    def test_greedy_matches_quadratic_reference(self):
+        # the whole recursion against a reference greedy whose every node
+        # prices each distinct coordinate with _cut_removal; the tree as JSON
+        # text, so that -0.0 != 0.0
+        def reference(cl, active, depth, cases):
+            pts = cl.ds.points
+            present = sorted({cl.labels[i] for i in active})
+            if len(present) == 1:
+                return set(), Leaf(present[0])
+            _, dim, theta = min(
+                (len(_cut_removal(pts, cl.labels, active, dim, theta)), dim, theta)
+                for dim in range(1, cl.ds.d + 1)
+                for theta in sorted({pts[i][dim - 1] for i in active})
+            )
+            if depth:
+                cases.add(cut_case(cl, active, dim, theta))
+            removed = _cut_removal(pts, cl.labels, active, dim, theta)
+            survivors = [i for i in active if i not in removed]
+            sides = ([i for i in survivors if pts[i][dim - 1] <= theta],
+                     [i for i in survivors if pts[i][dim - 1] > theta])
+            if not sides[0] or not sides[1]:
+                rem, node = reference(cl, sides[0] or sides[1], depth + 1, cases)
+                return removed | rem, node
+            (rem_l, node_l), (rem_r, node_r) = (reference(cl, s, depth + 1, cases)
+                                                for s in sides)
+            return removed | rem_l | rem_r, Internal(Cut(dim, theta), node_l, node_r)
+
+        rng = random.Random(44)
+        cases: set[str] = set()
+        answers = set()
+        for _ in range(320):
+            n, d, k = rng.randint(2, 60), rng.randint(1, 3), rng.randint(2, 8)
+            cl = signed_tie_instance(rng, n, d, min(k, n), rng.choice((1, 2, 4, 9)))
+            removed, root = reference(cl, list(range(n)), 0, cases)
+            res = greedy_explain(cl)
+            assert res.removed == removed
+            assert (json.dumps(tree_to_json_obj(res.tree))
+                    == json.dumps(tree_to_json_obj(ThresholdTree(root))))
+            assert check_explainable(cl) == (not removed)
+            answers.add(not removed)
+        assert answers == {True, False}
+        assert {"all-left", "all-right", "mixed", "mixed, balanced"} <= cases
 
 
 def greedy_tie_instance(seed: int) -> Clustering:

@@ -63,6 +63,21 @@ def test_malformed_json_rejected():
     assert tree_from_json_obj({"k": 1.0, "tree": {"leaf": 2.0}}) == ThresholdTree(Leaf(2))
 
 
+def test_json_booleans_rejected():
+    # JSON true/false are not the numbers 1/0 in any numeric field
+    leaves = {"left": {"leaf": 1}, "right": {"leaf": 2}}
+    for obj in (
+        {"k": True, "tree": {"leaf": True}},
+        {"k": True, "tree": {"leaf": 1}},
+        {"k": 1, "tree": {"leaf": True}},
+        {"k": 2, "tree": {"dim": True, "theta": 0.0, **leaves}},
+        {"k": 2, "tree": {"dim": 1, "theta": False, **leaves}},
+        {"k": 2, "tree": {"dim": 1, "theta": True, **leaves}},
+    ):
+        with pytest.raises(ValueError, match="must be"):
+            tree_from_json_obj(obj)
+
+
 @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", float("nan")])
 def test_non_finite_threshold_rejected(theta):
     # a NaN cut would send every point right without an error
