@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush, heappushpop
 from itertools import accumulate, count, groupby, repeat, zip_longest
-from operator import add, itemgetter, truediv
+from operator import add, itemgetter, or_, truediv
 
 from .core import (BRANCH_MAX_K, DP_MAX_D, DP_MAX_N, CostKind, Cut, Dataset, LimitExceededError,
                    Point, _exact_cost, _int_columns, _prefix_masks, _splits, centroid,
@@ -85,8 +85,9 @@ class _LeafCosts:
     """Exactly rounded leaf costs (see core._exact_cost) of one dataset.
     ``leaf`` prices one member set and keeps it in ``known`` (member mask
     -> cost), which is dropped whenever it holds more than _KNOWN_MAX
-    costs; that bounds its memory (solve_approx on uniform n = 200, k = 4,
-    epsilon = 0.05 prices 24,968 leaves, all distinct, so it stays below).
+    costs; that bounds its memory (solve_approx on gen_uniform(4, 50, 2, 5)'s
+    n = 200 points at k = 4, epsilon = 0.05 prices 24,736 leaves for means
+    and 26,562 for medians, all distinct, so it stays below).
     ``sides`` prices the prefixes and suffixes of one ordered member list
     in one pass, with exact int prefix sums, and keeps nothing."""
 
@@ -185,26 +186,26 @@ def _running_l1(vals: list[int], sizes: list[int]) -> list[int]:
 
 
 def _split_search(
-    ds: Dataset, k: int, kind: CostKind, grid: list[list[tuple[int, int, int, int]]] | None = None
+    ds: Dataset, k: int, kind: CostKind, nprime: int = 0
 ) -> tuple[float, TreeNode | None, int]:
     """Least-cost k-leaf threshold tree by memoized split search, as
     (cost, root, mask of the points the tree drops).
 
     A state is a member bitmask plus a leaf quota s; its optimum depends on
-    nothing else. Without a grid, its cuts are those of ``core._splits``:
-    per dimension, every distinct member value except the largest,
-    ascending. A grid (solve_approx's) gives per dimension its lines in
-    order, each as (anchor, band mask, band's end rank, mask of the points
-    "<= theta"), where theta is the anchor's coordinate; a line drops its
-    band's members from the state and splits the rest (no cut when a side
-    is left empty). A state takes the first cut of least total in the
-    order s1 = 1..s-1, then the cuts; a grid state with quota s >= 3 tries
-    them in that order and keeps only a strictly better one. It skips a cut
-    whose left optimum already reaches the best total, and a cut whose
-    right side is one leaf that alone reaches it, before its left side is
-    priced. Costs are >= 0 and float addition is monotone, so such a cut's
-    total is at least the best and cannot replace it; skipping it only
-    leaves a state unmemoized.
+    nothing else. With n' = 0, its cuts are those of ``core._splits``: per
+    dimension, every distinct member value except the largest, ascending.
+    With n' >= 1 they are solve_approx's grid lines: in each dimension's
+    (value, id) order, ``costs.order``, a line's anchor has 1-based rank
+    r = n', 2n', ... <= n, theta is its coordinate and its band holds the
+    ranks r + 1 .. r + n'; the line drops its band's members from the state
+    and splits the rest (no cut when a side is left empty). A state takes
+    the first cut of least total in the order s1 = 1..s-1, then the cuts; a
+    grid state with quota s >= 3 tries them in that order and keeps only a
+    strictly better one. It skips a cut whose left optimum already reaches
+    the best total, and a cut whose right side is one leaf that alone
+    reaches it, before its left side is priced. Costs are >= 0 and float
+    addition is monotone, so such a cut's total is at least the best and
+    cannot replace it; skipping it only leaves a state unmemoized.
 
     Leaf costs are exactly rounded (``_LeafCosts``), inf where they
     overflow a float; single leaves go through its map. A state with quota
@@ -255,9 +256,9 @@ def _split_search(
     one whose bound is inf (a finite total may lie in it, or no incumbent
     exists yet).
 
-    Without a grid, raises ValueError when the points have fewer than k
+    With n' = 0, raises ValueError when the points have fewer than k
     distinct positions and OverflowError when no tree has a finite cost.
-    With a grid, the cost is inf when no grid tree has k nonempty leaves
+    With n' >= 1, the cost is inf when no grid tree has k nonempty leaves
     and a finite cost.
     """
     pts = ds.points
@@ -266,25 +267,30 @@ def _split_search(
     slack = 1 + (4 * k + 8) * 2.0 ** -53
     memo: dict[tuple[int, int], tuple[float, TreeNode | None, int]] = {}
     costs = _LeafCosts(pts, kind)
-    if grid is not None:
-        # costs.order sorts by (value, id), as _rank_grid does
-        ranks = [dict(zip(order, range(ds.n))) for order in costs.order]
+    # per dimension, each grid line as (anchor, band mask, mask of the points
+    # "<= theta"), read off upto[m], the mask of the first m points in order
+    lines = []
+    for order, col in zip(costs.order, costs.cols) if nprime else ():
+        upto = list(accumulate((1 << i for i in order), or_, initial=0))
+        vals = [col[i] for i in order]
+        lines.append([(order[r - 1], upto[min(r + nprime, ds.n)] ^ upto[r],
+                       upto[bisect_right(vals, vals[r - 1])])
+                      for r in range(nprime, ds.n + 1, nprime)])
 
     def cut_node(dim: int, new: int, left: TreeNode, right: TreeNode) -> Internal:
         # theta comes from the lowest new member, as it would from a set of
         # member values (this keeps the sign of a zero)
         return Internal(Cut(dim, pts[(new & -new).bit_length() - 1][dim - 1]), left, right)
 
-    def line_cuts(mask: int, ids: list[int], dim: int, col: list[int]):
-        rank = ranks[dim - 1]
-        rs = list(map(rank.__getitem__, ids))
+    def line_cuts(mask: int, flags: str, ids: list[int], dim: int, col: list[int]):
+        rs = [r for r, i in enumerate(costs.order[dim - 1]) if flags[i] == "1"]
         lsizes, rsizes, odd, heads = [], [], [], []
-        # a band holds ranks lo..hi-1, its anchor rank lo - 1: the next lo is hi
-        a, seen = bisect_left(rs, rank[grid[dim - 1][0][0]] + 1), None
-        for line in grid[dim - 1]:
-            anchor, band, hi, low = line
+        # the line anchored at 1-based rank (j - 1) * n' has its band at the
+        # 0-based ranks (j - 1) * n' .. j * n' - 1: each ends where the next starts
+        a, seen = bisect_left(rs, nprime), None
+        for j, (anchor, band, low) in enumerate(lines[dim - 1], start=2):
             theta = col[anchor]
-            b = bisect_left(rs, hi, a)  # ids[a:b] are the band's members
+            b = bisect_left(rs, j * nprime, a)  # ids[a:b] are the band's members
             if b == len(ids):
                 break  # this line and those after it leave the right side empty
             if col[ids[b]] == theta:
@@ -294,12 +300,12 @@ def _split_search(
                 if start < len(ids):
                     odd.append((len(heads), mask & low & ~band))
                     rsizes.append(len(ids) - start)
-                    heads.append(line)
+                    heads.append((anchor, band))
             elif a and (a, b) != seen:  # an earlier equal cut has the same total
                 seen = (a, b)
                 lsizes.append(a)
                 rsizes.append(len(ids) - b)
-                heads.append(line)
+                heads.append((anchor, band))
             a = b
         return lsizes, rsizes, odd, heads
 
@@ -308,12 +314,12 @@ def _split_search(
         best, win = _INF, None
         for dim, (order, col) in enumerate(zip(costs.order, costs.cols), start=1):
             ids = [i for i in order if flags[i] == "1"]
-            if grid is None:  # one cut after each run of equal values but the last
+            if not nprime:  # one cut after each run of equal values but the last
                 vals = [col[i] for i in ids]
                 lsizes = [m for m in range(1, len(ids)) if vals[m - 1] != vals[m]]
                 rsizes, odd, heads = [len(ids) - m for m in lsizes], (), None
             else:
-                lsizes, rsizes, odd, heads = line_cuts(mask, ids, dim, col)
+                lsizes, rsizes, odd, heads = line_cuts(mask, flags, ids, dim, col)
             lefts, rights = costs.sides(ids, dim, lsizes, rsizes)
             for t, lmask in odd:  # left sides that are not prefixes of ids
                 lefts.insert(t, costs.leaf(lmask))
@@ -322,7 +328,7 @@ def _split_search(
             if low < best:
                 t = totals.index(low)
                 # ids ascend within a run, so its first is the lowest new member
-                head = heads[t][:2] if heads else (ids[lsizes[t - 1] if t else 0], 0)
+                head = heads[t] if heads else (ids[lsizes[t - 1] if t else 0], 0)
                 best, win = low, (dim, *head)
         dim, anchor, band = win or (0, 0, 0)
         return best, win and cut_node(dim, 1 << anchor, _LEAF, _LEAF), mask & band
@@ -372,8 +378,8 @@ def _split_search(
 
     def grid_loop(mask: int, s: int) -> tuple[float, TreeNode | None, int]:
         splits = []
-        for dim, row in enumerate(grid, start=1):
-            for anchor, band, _, low in row:
+        for dim, row in enumerate(lines, start=1):
+            for anchor, band, low in row:
                 kept = mask & ~band
                 lmask = kept & low
                 if lmask and lmask != kept:
@@ -405,7 +411,7 @@ def _split_search(
         if hit is None:
             if s == 2:
                 hit = two_leaves(mask)
-            elif grid is None:
+            elif not nprime:
                 hit = best_first(mask, s)
             else:
                 hit = grid_loop(mask, s)
@@ -420,7 +426,7 @@ def _split_search(
         memo.clear()
         costs.known.clear()
     # a tree is found exactly when its cost is finite (at k = 1 root is a leaf)
-    if cost == _INF and grid is None:
+    if cost == _INF and not nprime:
         if len(set(pts)) < k:
             raise ValueError("no explainable k-clustering: too few distinct points")
         raise OverflowError("every explainable k-clustering's cost overflows a float")
@@ -467,20 +473,6 @@ def solve_dp(
     return _finish(node, ds, cost, kind)
 
 
-def _rank_grid(ds: Dataset, nprime: int):
-    """Per dimension and grid line: its threshold (the i*n'-th order
-    statistic, i = 1..n // n'), its removal band (ids in rank positions
-    i*n'+1 .. (i+1)*n') and its anchor (the id of the point at rank i*n').
-    With n' = floor(epsilon * n / k) >= 1, n' >= epsilon * n / (2k), so a
-    dimension has at most ceil(2k / epsilon) lines."""
-    positions = range(nprime, ds.n + 1, nprime)  # 1-based ranks
-    orders = [sorted(range(ds.n), key=lambda i: (ds.points[i][dim], i)) for dim in range(ds.d)]
-    anchors = [[order[pos - 1] for pos in positions] for order in orders]
-    thresholds = [[ds.points[i][dim] for i in row] for dim, row in enumerate(anchors)]
-    bands = [[frozenset(order[pos : pos + nprime]) for pos in positions] for order in orders]
-    return thresholds, bands, anchors
-
-
 def solve_approx(
     ds: Dataset, k: int, kind: CostKind, epsilon: float, *, force: bool = False
 ) -> ApproxResult:
@@ -488,13 +480,15 @@ def solve_approx(
     points, using only cuts on a per-dimension rank grid.
 
     With n' = floor(epsilon * n / k), dimension j has a grid line at the
-    value theta_i of its (i * n')-th order statistic, whose band is the n'
-    points of the next ranks. A grid cut drops the members of its band from
-    its own node and splits the rest by "<= theta_i"; the result is the
-    least-cost grid tree with k nonempty leaves, found by _split_search
-    (ties go to the first in s1, then grid line order). When n' is 0, or
-    no grid tree has k nonempty leaves and a finite cost, the result is
-    solve_branching's, with nothing removed and an empty rank grid.
+    value theta_i of its (i * n')-th order statistic in (value, id) order,
+    i = 1..n // n', whose band is the n' points of the next ranks; as
+    n' >= epsilon * n / (2k), that is at most ceil(2k / epsilon) lines. A
+    grid cut drops the members of its band from its own node and splits
+    the rest by "<= theta_i"; the result is the least-cost grid tree with k
+    nonempty leaves, found by _split_search (ties go to the first in s1,
+    then grid line order). When n' is 0, or no grid tree has k nonempty
+    leaves and a finite cost, the result is solve_branching's, with nothing
+    removed and an empty rank grid.
 
     Removal: each of the k - 1 internal nodes drops at most one band of n'
     points, so at most (k - 1) * n' <= epsilon * n points are removed.
@@ -518,23 +512,14 @@ def solve_approx(
     if not 1 <= k <= ds.n:
         raise ValueError(f"k must be in 1..{ds.n}")
     nprime = int(epsilon * ds.n / k)
-    cost = _INF
-    if nprime:
-        thresholds, bands, anchors = _rank_grid(ds, nprime)
-        # per dimension and line: (anchor, band mask, band's end rank, mask of
-        # the points <= theta); line j's anchor has rank (j + 1) * n'
-        grid = [
-            [(anchor, sum(1 << i for i in band), (j + 1) * nprime + len(band),
-              sum(1 << i for i, p in enumerate(ds.points) if p[dim] <= theta))
-             for j, (theta, band, anchor) in enumerate(zip(*rows))]
-            for dim, rows in enumerate(zip(thresholds, bands, anchors))
-        ]
-        cost, root, dropped = _split_search(ds, k, kind, grid)
+    cost, root, dropped = _split_search(ds, k, kind, nprime) if nprime else (_INF, None, 0)
     if cost == _INF:
-        # an empty rank grid in the result marks the exact branch
+        # the exact branch has no grid: an empty rank grid in the result marks it
         res = solve_branching(ds, k, kind, force=force)
-        cost, root, dropped = res.cost, res.tree.root, 0
-        thresholds = [[] for _ in range(ds.d)]
+        cost, root, dropped, nprime = res.cost, res.tree.root, 0, 0
+    # sorted is stable, so equal values keep id order and each threshold is
+    # its (value, id) anchor's own coordinate, sign of a zero included
+    thresholds = [sorted(col)[nprime - 1::nprime] if nprime else [] for col in zip(*ds.points)]
     removed = frozenset(i for i in range(ds.n) if dropped >> i & 1)
     return ApproxResult(
         kept=frozenset(range(ds.n)) - removed,

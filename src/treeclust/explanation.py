@@ -204,12 +204,9 @@ def _greedy(
     right = [i for i in survivors if pts[i][cut.dim - 1] > cut.theta]
     # A fully evicted cluster can leave one side empty; the cut then does
     # not become a tree node.
-    if not left:
-        rem_r, node_r = _greedy(pts, labels, right)
-        return removed | rem_r, node_r
-    if not right:
-        rem_l, node_l = _greedy(pts, labels, left)
-        return removed | rem_l, node_l
+    if not left or not right:
+        rem, node = _greedy(pts, labels, left or right)
+        return removed | rem, node
     rem_l, node_l = _greedy(pts, labels, left)
     rem_r, node_r = _greedy(pts, labels, right)
     return removed | rem_l | rem_r, Internal(cut, node_l, node_r)

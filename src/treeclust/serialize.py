@@ -2,7 +2,7 @@
 
 JSON schema: top level {"k": int, "tree": node}; internal node
 {"dim": int, "theta": number, "left": node, "right": node}; leaf
-{"leaf": label}.
+{"leaf": label}, each label on one leaf only.
 """
 from __future__ import annotations
 
@@ -43,11 +43,17 @@ def tree_from_json_obj(obj: dict) -> ThresholdTree:
     if not isinstance(obj, dict) or "tree" not in obj or "k" not in obj:
         raise ValueError('tree JSON must be {"k": int, "tree": node}')
 
+    labels: set[int] = set()
+
     def decode(node: object) -> TreeNode:
         if not isinstance(node, dict):
             raise ValueError("tree node must be a JSON object")
         if "leaf" in node:
-            return Leaf(_number(node, "leaf", int))
+            label = _number(node, "leaf", int)
+            if label in labels:
+                raise ValueError(f"leaf label {label} appears more than once")
+            labels.add(label)
+            return Leaf(label)
         missing = [f for f in ("dim", "theta", "left", "right") if f not in node]
         if missing:
             raise ValueError(f"internal node missing field {missing[0]!r}")

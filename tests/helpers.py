@@ -18,7 +18,6 @@ from treeclust import (
     tree_evaluate,
 )
 from treeclust.core import _prefix_masks, _splits
-from treeclust.explainable import _rank_grid, _relabel
 
 
 def random_points(rng: random.Random, n: int, d: int, lo: int = 0, hi: int = 5):
@@ -132,6 +131,32 @@ def reference_split_search(ds, k: int, kind):
     return cost, node
 
 
+def _rank_grid(ds, nprime: int):
+    """Per dimension and grid line: its threshold (the coordinate of the
+    point at rank i*n', i = 1..n // n', in (value, id) order) and its
+    removal band (the ids at ranks i*n'+1 .. (i+1)*n')."""
+    positions = range(nprime, ds.n + 1, nprime)  # 1-based ranks
+    orders = [sorted(range(ds.n), key=lambda i: (ds.points[i][dim], i)) for dim in range(ds.d)]
+    thresholds = [[ds.points[order[pos - 1]][dim] for pos in positions]
+                  for dim, order in enumerate(orders)]
+    bands = [[frozenset(order[pos : pos + nprime]) for pos in positions] for order in orders]
+    return thresholds, bands
+
+
+def _relabel(node):
+    """The tree ``node`` with its leaves labelled 1..k left to right."""
+    leaves = 0
+
+    def walk(nd):
+        nonlocal leaves
+        if isinstance(nd, Leaf):
+            leaves += 1
+            return Leaf(leaves)
+        return Internal(nd.cut, walk(nd.left), walk(nd.right))
+
+    return walk(node)
+
+
 def reference_solve_approx(ds, k: int, kind, epsilon: float) -> ApproxResult:
     """``solve_approx`` by enumeration: every shape, then every assignment of
     grid lines to its internal nodes, built as nodes over id lists. Each
@@ -149,7 +174,7 @@ def reference_solve_approx(ds, k: int, kind, epsilon: float) -> ApproxResult:
 
     if nprime == 0:
         return exact_fallback()
-    thresholds, bands, _ = _rank_grid(ds, nprime)
+    thresholds, bands = _rank_grid(ds, nprime)
     lines = [
         (dim, theta, band)
         for dim in range(1, ds.d + 1)

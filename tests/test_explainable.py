@@ -26,6 +26,7 @@ from treeclust import (
 from treeclust import explainable
 from treeclust.core import _prefix_masks, _splits
 from helpers import (
+    _rank_grid,
     random_points,
     reference_solve_approx,
     reference_split_search,
@@ -592,7 +593,7 @@ def _grid_drops(node, ds, k, eps, ids):
     drops its band's members of the node's ids."""
     if isinstance(node, Leaf):
         return {frozenset()}
-    thresholds, bands, _ = explainable._rank_grid(ds, int(eps * ds.n / k))
+    thresholds, bands = _rank_grid(ds, int(eps * ds.n / k))
     dim, theta = node.cut.dim, node.cut.theta
     drops = set()
     for t, band in zip(thresholds[dim - 1], bands[dim - 1]):
@@ -620,7 +621,7 @@ class TestSolveApprox:
                         assert n // nprime <= math.ceil(2 * k / eps), (n, k, eps)
         ds = Dataset(random_points(random.Random(50), 60, 2))
         for k, eps in [(3, 0.1), (4, 0.2), (2, 0.999)]:
-            thresholds = explainable._rank_grid(ds, int(eps * 60 / k))[0]
+            thresholds = _rank_grid(ds, int(eps * 60 / k))[0]
             assert [len(row) for row in thresholds] == [60 // int(eps * 60 / k)] * 2
 
     def test_k1_keeps_everything(self):

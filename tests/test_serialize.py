@@ -57,6 +57,8 @@ def test_malformed_json_rejected():
         {"k": 1, "tree": {"leaf": 1.9}},
         {"k": 2, "tree": {"dim": 1.5, "theta": 0.0, **leaves}},
         {"k": 1.5, "tree": {"leaf": 1}},
+        # a repeated leaf label would merge two leaves' points into one cluster
+        {"k": 2, "tree": {"dim": 1, "theta": 0.5, "left": {"leaf": 1}, "right": {"leaf": 1}}},
     ):
         with pytest.raises(ValueError):
             tree_from_json_obj(obj)
