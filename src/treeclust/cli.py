@@ -27,8 +27,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Sequence
 
-from .core import (BRANCH_MAX_K, DP_MAX_D, DP_MAX_N, EXACT_MAX_D, EXACT_MAX_N, CostKind, Dataset,
-                   LimitExceededError)
+from .core import LIMITS, CostKind, Dataset, LimitExceededError
 from .serialize import tree_to_dot, tree_to_json_obj
 from .tree import ThresholdTree, tree_evaluate
 
@@ -44,7 +43,8 @@ class InputError(ValueError):
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte order mark that spreadsheet exports put first
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -64,11 +64,13 @@ def read_dataset(
     coord_idx = [i for i in range(len(header)) if i != label_idx]
     if not coord_idx:
         raise InputError(f"{path}: no coordinate columns")
-    if not body:
+    if not any(body):
         raise InputError(f"{path}: no data rows")
     pts: list[tuple[float, ...]] = []
     labels: list[int] = []
     for lineno, row in enumerate(body, start=2):
+        if not row:  # a blank line, such as one at the end of the file
+            continue
         if len(row) != len(header):
             raise InputError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         try:
@@ -140,11 +142,7 @@ def _report(
         "wall_time_s": elapsed,
         "guardrails": {
             "force": getattr(args, "force", False),
-            "limits": {
-                "exact_explain": {"n": EXACT_MAX_N, "d": EXACT_MAX_D},
-                "solve_branching": {"k": BRANCH_MAX_K},
-                "solve_dp": {"n": DP_MAX_N, "d": DP_MAX_D},
-            },
+            "limits": LIMITS,
         },
     }
     if tree is not None:
@@ -241,8 +239,6 @@ def cmd_fit(args) -> int:
         if args.epsilon is None:
             raise InputError("--method approx requires --epsilon")
         res = solve_approx(ds, args.k, kind, args.epsilon, force=args.force)
-        if len(res.removed) > args.epsilon * ds.n:
-            raise AssertionError("approx removal bound violated")
         clusters = _kept(res.tree, ds, res.removed)
         extra = {
             "kept": sorted(res.kept),

@@ -22,13 +22,25 @@ class LimitExceededError(RuntimeError):
     """An input exceeds a solver's configured size limits."""
 
 
-# Guard rails: the exact solvers refuse larger instances unless forced.
+# Guard rails: exact solver -> size name -> the largest value it accepts
+# unless forced. Each solver's cost grows fastest in the sizes it names;
 # exact_explain's state space is exponential in the dimension.
-EXACT_MAX_N = 30
-EXACT_MAX_D = 3
-BRANCH_MAX_K = 8
-DP_MAX_N = 40
-DP_MAX_D = 4
+LIMITS = {
+    "exact_explain": {"n": 30, "d": 3},
+    "solve_branching": {"k": 8},
+    "solve_dp": {"n": 40, "d": 4},
+}
+
+
+def _check_limits(solver: str, force: bool, **sizes: int) -> None:
+    """Raise LimitExceededError when, without force, any size that the
+    solver's LIMITS entry names is above its limit. Callers pass every size
+    they have; the table alone decides which of them count."""
+    over = [(name, cap) for name, cap in LIMITS[solver].items() if sizes[name] > cap]
+    if over and not force:
+        limits = ", ".join(f"{name} <= {cap}" for name, cap in over)
+        got = ", ".join(f"{name} = {sizes[name]}" for name, _ in over)
+        raise LimitExceededError(f"{solver} limited to {limits}; got {got} (use force to override)")
 
 
 class CostKind(Enum):

@@ -5,14 +5,14 @@ threshold trees with k nonempty leaves. All of them run one memoized
 split search keyed by member bitmask and leaf quota (_split_search). The
 two exact solvers, solve_branching (recursive branching search) and
 solve_dp (dynamic program over point subsets), search every canonical cut
-and return the same tree; they differ only in their guard rails. A state
-with two leaves left prices all its cuts, canonical or grid, from one
-sorted pass per dimension; a canonical state with more searches each
-dimension's cuts best-first and skips those a monotone lower bound rules
-out. Every leaf cost is the float nearest the exact cost
-(core._exact_cost), so a sweep's value is the cost itself and trees and
-tie-breaks are those of pricing every leaf with cluster_cost; a leaf
-whose cost overflows a float is priced as inf. solve_approx is an
+and return the same tree; they run one body and differ only in their
+core.LIMITS entry. A state with two leaves left prices all its cuts,
+canonical or grid, from one sorted pass per dimension; a canonical state
+with more searches each dimension's cuts best-first and skips those a
+monotone lower bound rules out. Every leaf cost is the float nearest the
+exact cost (core._exact_cost), so a sweep's value is the cost itself and
+trees and tie-breaks are those of pricing every leaf with cluster_cost; a
+leaf whose cost overflows a float is priced as inf. solve_approx is an
 outlier-tolerant approximation that searches only the cuts of a
 per-dimension rank grid, each of which drops its band of points from its
 own node, so it removes at most an epsilon fraction of the points.
@@ -27,9 +27,8 @@ from heapq import heappop, heappush, heappushpop
 from itertools import accumulate, count, groupby, repeat, zip_longest
 from operator import add, itemgetter, or_, truediv
 
-from .core import (BRANCH_MAX_K, DP_MAX_D, DP_MAX_N, CostKind, Cut, Dataset, LimitExceededError,
-                   Point, _exact_cost, _int_columns, _prefix_masks, _splits, centroid,
-                   cluster_cost)
+from .core import (CostKind, Cut, Dataset, Point, _check_limits, _exact_cost, _int_columns,
+                   _prefix_masks, _splits, centroid, cluster_cost)
 from .tree import Internal, Leaf, ThresholdTree, TreeNode, tree_evaluate
 
 _INF = math.inf
@@ -433,23 +432,28 @@ def _split_search(
     return cost, root, dropped
 
 
+def _solve_exact(
+    solver: str, ds: Dataset, k: int, kind: CostKind, force: bool
+) -> ExplainableResult:
+    """The one body of solve_branching and solve_dp: solver names the
+    LIMITS entry that guards the run."""
+    if not 1 <= k <= ds.n:
+        raise ValueError(f"k must be in 1..{ds.n}")
+    _check_limits(solver, force, n=ds.n, d=ds.d, k=k)
+    cost, node, _ = _split_search(ds, k, kind)
+    return _finish(node, ds, cost, kind)
+
+
 def solve_branching(
     ds: Dataset, k: int, kind: CostKind, *, force: bool = False
 ) -> ExplainableResult:
     """Optimal explainable k-clustering by recursive cut-and-split search.
 
-    Runs the same memoized search as solve_dp; the two differ only in their
-    guard rails (this one limits k). Raises ValueError when the points have
+    Runs the same body as solve_dp; the two differ only in their LIMITS
+    entry (this one limits k). Raises ValueError when the points have
     fewer than k distinct positions, OverflowError when no tree's cost fits.
     """
-    if not 1 <= k <= ds.n:
-        raise ValueError(f"k must be in 1..{ds.n}")
-    if k > BRANCH_MAX_K and not force:
-        raise LimitExceededError(
-            f"branching solver limited to k <= {BRANCH_MAX_K} (use force to override)"
-        )
-    cost, node, _ = _split_search(ds, k, kind)
-    return _finish(node, ds, cost, kind)
+    return _solve_exact("solve_branching", ds, k, kind, force)
 
 
 def solve_dp(
@@ -458,19 +462,12 @@ def solve_dp(
     """Optimal explainable k-clustering by dynamic programming over point
     subsets (canonical boxes with equal membership merged).
 
-    Runs the same memoized search as solve_branching and returns the same
-    tree, ties included; the two differ only in their guard rails (this
-    one limits n and d). Raises ValueError when the points have fewer than
-    k distinct positions, OverflowError when no tree's cost fits.
+    Runs the same body as solve_branching and returns the same tree, ties
+    included; the two differ only in their LIMITS entry (this one limits n
+    and d). Raises ValueError when the points have fewer than k distinct
+    positions, OverflowError when no tree's cost fits.
     """
-    if not 1 <= k <= ds.n:
-        raise ValueError(f"k must be in 1..{ds.n}")
-    if (ds.n > DP_MAX_N or ds.d > DP_MAX_D) and not force:
-        raise LimitExceededError(
-            f"dp solver limited to n <= {DP_MAX_N}, d <= {DP_MAX_D} (use force to override)"
-        )
-    cost, node, _ = _split_search(ds, k, kind)
-    return _finish(node, ds, cost, kind)
+    return _solve_exact("solve_dp", ds, k, kind, force)
 
 
 def solve_approx(
@@ -491,7 +488,8 @@ def solve_approx(
     removed and an empty rank grid.
 
     Removal: each of the k - 1 internal nodes drops at most one band of n'
-    points, so at most (k - 1) * n' <= epsilon * n points are removed.
+    points, so at most (k - 1) * n' <= epsilon * n points are removed; a
+    result past that bound raises AssertionError (a failed self-check).
 
     Cost: let T be any k-leaf tree on the full dataset and snap each cut
     (j, theta) of T to the last grid line theta_i <= theta of dimension j.
@@ -521,6 +519,8 @@ def solve_approx(
     # its (value, id) anchor's own coordinate, sign of a zero included
     thresholds = [sorted(col)[nprime - 1::nprime] if nprime else [] for col in zip(*ds.points)]
     removed = frozenset(i for i in range(ds.n) if dropped >> i & 1)
+    if len(removed) > epsilon * ds.n:
+        raise AssertionError("approx removal bound violated")
     return ApproxResult(
         kept=frozenset(range(ds.n)) - removed,
         removed=removed,

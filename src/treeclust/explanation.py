@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (EXACT_MAX_D, EXACT_MAX_N, Cut, Dataset, LimitExceededError, Point,
-                   _prefix_masks, _splits)
+from .core import Cut, Dataset, Point, _check_limits, _prefix_masks, _splits
 from .tree import Internal, Leaf, ThresholdTree, TreeNode
 
 
@@ -334,11 +333,7 @@ def exact_explain(
     """Minimum-size removal of at most s points, with a witness tree, or None."""
     if s < 0:
         raise ValueError("removal budget must be nonnegative")
-    if not force and (cl.ds.n > EXACT_MAX_N or cl.ds.d > EXACT_MAX_D):
-        raise LimitExceededError(
-            f"exact explanation limited to n <= {EXACT_MAX_N}, d <= {EXACT_MAX_D}; "
-            "use the greedy method or kernelize first (or force)"
-        )
+    _check_limits("exact_explain", force, n=cl.ds.n, d=cl.ds.d, k=cl.k)
     gone = _ExactSolver(cl, budget=min(s, cl.ds.n)).solve()
     if gone is None:
         return None

@@ -88,6 +88,33 @@ class TestCheck:
         proc = run_cli("check", str(p))
         assert proc.returncode == 2
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte order mark
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + "cluster,x1\n1,0\n2,9\n".encode())
+        proc = run_cli("check", str(p))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["input"] == {"path": str(p), "n": 2, "d": 1, "k": 2}
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text(SEP_CSV + "\n")
+        proc = run_cli("check", str(p))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["input"]["n"] == 4
+
+    @pytest.mark.parametrize("text", [
+        SEP_CSV + ",\n",  # two empty fields are not a blank line
+        SEP_CSV + "\n5,5\n",
+        "x1,x2,cluster\n\n",
+    ])
+    def test_short_or_missing_rows_exit_two(self, tmp_path, text):
+        p = tmp_path / "short.csv"
+        p.write_text(text)
+        proc = run_cli("check", str(p))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {p}:")
+
     def test_custom_label_column(self, tmp_path):
         p = tmp_path / "named.csv"
         p.write_text("a,b,grp\n0,0,1\n9,9,2\n")
@@ -230,6 +257,24 @@ class TestFit:
         result = json.loads(proc.stdout)["result"]
         assert result["cost"] == 0.0
         assert result["removed"] == [3]
+
+    def test_approx_removal_self_check(self, tmp_path, monkeypatch, capsys):
+        # a search that drops every point breaks the bound of epsilon * n
+        search = explainable._split_search
+
+        def drop_all(ds, k, kind, nprime=0):
+            cost, root, _ = search(ds, k, kind, nprime)
+            return cost, root, (1 << ds.n) - 1
+
+        monkeypatch.setattr(explainable, "_split_search", drop_all)
+        p = tmp_path / "pts.csv"
+        p.write_text("x1\n0\n1\n10\n11\n")
+        ds = treeclust.Dataset.from_rows([[0], [1], [10], [11]])
+        with pytest.raises(AssertionError, match="removal bound"):
+            explainable.solve_approx(ds, 2, treeclust.CostKind.MEANS, 0.5)
+        assert cli.main(["fit", str(p), "--k", "2", "--method", "approx", "--epsilon", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: internal: AssertionError: approx removal bound violated\n"
 
 
 class TestBaseline:

@@ -7,16 +7,54 @@ from hypothesis import given, strategies as st
 
 from treeclust import (
     Box,
+    Clustering,
     CostKind,
     Cut,
     Dataset,
+    LimitExceededError,
     box_members,
     canonical_thresholds,
     centroid,
     cluster_cost,
     cut_apply,
+    exact_explain,
+    solve_approx,
+    solve_branching,
+    solve_dp,
 )
 from treeclust.core import _prefix_masks, _splits
+
+
+def _guarded_call(solver: str, size: str, value: int, force: bool) -> None:
+    """Run solver on 12 points in 1 dimension (k = 2), except that size is value."""
+    sizes = {"n": 12, "d": 1, "k": 2, size: value}
+    n, d, k = sizes["n"], sizes["d"], sizes["k"]
+    ds = Dataset(tuple((float(i),) * d for i in range(n)))
+    if solver == "exact_explain":
+        labels = tuple(1 if i < n // 2 else 2 for i in range(n))
+        assert exact_explain(Clustering(ds, labels, 2), 0, force=force) is not None
+    elif solver == "solve_approx":  # n' = 0 at these sizes: the exact fallback runs
+        assert not any(solve_approx(ds, k, CostKind.MEANS, 0.5, force=force).rank_grid)
+    else:
+        solve = solve_branching if solver == "solve_branching" else solve_dp
+        assert solve(ds, k, CostKind.MEANS, force=force).cost >= 0.0
+
+
+# Every guard rail with its limit written out, so that this test pins the
+# refused and accepted inputs whatever the limits' source says.
+@pytest.mark.parametrize("solver, size, limit", [
+    ("exact_explain", "n", 30),
+    ("exact_explain", "d", 3),
+    ("solve_branching", "k", 8),
+    ("solve_dp", "n", 40),
+    ("solve_dp", "d", 4),
+    ("solve_approx", "k", 8),
+])
+def test_guard_rail_boundary(solver, size, limit):
+    _guarded_call(solver, size, limit, force=False)
+    with pytest.raises(LimitExceededError):
+        _guarded_call(solver, size, limit + 1, force=False)
+    _guarded_call(solver, size, limit + 1, force=True)
 
 
 def test_dataset_validation():
