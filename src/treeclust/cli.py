@@ -48,6 +48,8 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not rows:
         raise InputError(f"{path}: empty file (header row required)")
     return rows[0], rows[1:]
@@ -56,7 +58,8 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
 def read_dataset(
     path: str, label_col: str, *, require_labels: bool
 ) -> tuple[Dataset, list[int] | None]:
-    """Parse a CSV with a header; non-label columns are coordinates."""
+    """Parse a CSV with a header; non-label columns are coordinates. The
+    label values are parsed only when the caller requires labels."""
     header, body = _read_rows(path)
     label_idx = header.index(label_col) if label_col in header else None
     if require_labels and label_idx is None:
@@ -77,7 +80,7 @@ def read_dataset(
             pts.append(tuple(float(row[i]) for i in coord_idx))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
-        if label_idx is not None:
+        if require_labels:
             try:
                 labels.append(int(row[label_idx]))
             except ValueError as exc:
@@ -86,7 +89,7 @@ def read_dataset(
         ds = Dataset(tuple(pts))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return ds, (labels if label_idx is not None else None)
+    return ds, (labels if require_labels else None)
 
 
 def read_clustering(path: str, label_col: str) -> Clustering:

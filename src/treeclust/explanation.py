@@ -5,9 +5,10 @@ The greedy path repeatedly picks the cheapest separating cut, the least
 (removal count, dim, θ), found by one sorted sweep per dimension that keeps
 running left/right counts and prices each threshold in O(1), or in O(k)
 where every cluster has its majority on one side: O(d·n log n + d·n) per
-tree node plus O(k) per such threshold. The explainability test walks the
-same recursion and stops at the first node whose cheapest cut removes a
-point. The exact path runs a dynamic program over the boxes that canonical
+tree node plus O(k) per such threshold. The explainability test runs the
+same greedy on the s = 0 kernel, each cluster's lowest and highest member
+per dimension, which is explainable exactly when the whole clustering is.
+The exact path runs a dynamic program over the boxes that canonical
 cuts carve out, keyed by the box's member bitmask (boxes with the same
 points share one state), with cluster subsets tracked as bitmasks. Each
 state memoizes the mask of the members its best subtree removes, so the
@@ -225,22 +226,18 @@ def greedy_explain(cl: Clustering) -> ExplanationResult:
     return ExplanationResult(frozenset(removed), ThresholdTree(root))
 
 
-def _explainable(pts: Sequence[Point], labels: Sequence[int], active: Sequence[int]) -> bool:
-    if len({labels[i] for i in active}) <= 1:
-        return True
-    cut, removed = _best_cut(pts, labels, active)
-    if removed:
-        return False
-    left = [i for i in active if pts[i][cut.dim - 1] <= cut.theta]
-    right = [i for i in active if pts[i][cut.dim - 1] > cut.theta]
-    return _explainable(pts, labels, left) and _explainable(pts, labels, right)
-
-
 def check_explainable(cl: Clustering) -> bool:
-    """Whether the greedy repair removes nothing, found by walking its
-    recursion and stopping at the first node whose best cut removes a point
-    (greedy removes nothing iff no node's best cut does)."""
-    return _explainable(cl.ds.points, cl.labels, list(range(cl.ds.n)))
+    """Whether some threshold tree induces the clustering.
+
+    The greedy repair removes nothing exactly when its input is explainable:
+    the first cut of an explaining tree that splits the active points
+    removes nothing, so the cheapest cut removes nothing too, and each side
+    is again explainable. It runs on the s = 0 kernel, at most 2dk points,
+    which is explainable exactly when cl is (see ``kernelize``).
+    """
+    kernel, _ = kernelize(cl, 0)
+    removed, _ = _greedy(kernel.ds.points, kernel.labels, list(range(kernel.ds.n)))
+    return not removed
 
 
 class _ExactSolver:
@@ -358,6 +355,18 @@ def opt_explain(cl: Clustering, *, force: bool = False) -> tuple[int, Explanatio
 def kernelize(cl: Clustering, s: int) -> tuple[Clustering, dict[int, int]]:
     """Shrink the instance to at most 2(s+1)dk points with small integer
     coordinates, preserving the yes/no answer at budget s.
+
+    Each cluster keeps, in every dimension, its s+1 lowest and s+1 highest
+    members in (value, id) order, and each kept coordinate becomes its rank
+    among the kept values of its dimension. The rank map is monotone, so it
+    keeps every cut's sides, and trees carry over both ways.
+
+    At s = 0 the answer is whether cl is explainable. Any subset of an
+    explainable clustering is explainable, so the kernel is. Conversely, a
+    tree that explains the extremes puts each cluster's extremes in one
+    leaf box. That box is a product of intervals, so it holds the cluster's
+    whole bounding box, and leaf boxes are disjoint, so the tree explains
+    every point of cl.
 
     Returns the kernel clustering and a map kernel id -> original id.
     """

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: the exit-code contract, the JSON and DOT reports,
 the files each subcommand writes, and the package's public names."""
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,15 @@ class TestCheck:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: {p}:")
 
+    @pytest.mark.parametrize("encoding", ["utf-16", "latin-1"])
+    def test_non_utf8_file_exits_two(self, tmp_path, encoding):
+        p = tmp_path / "wide.csv"
+        # read as UTF-8, the same text would pass
+        p.write_bytes("température,cluster\n0.5,1\n9,2\n".encode(encoding))
+        proc = run_cli("check", str(p))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {p}: not UTF-8 text")
+
     def test_custom_label_column(self, tmp_path):
         p = tmp_path / "named.csv"
         p.write_text("a,b,grp\n0,0,1\n9,9,2\n")
@@ -212,10 +222,17 @@ class TestFit:
         assert a.returncode == 0 and b.returncode == 0
         assert json.loads(a.stdout)["result"]["cost"] == json.loads(b.stdout)["result"]["cost"]
 
-    def test_label_column_ignored_for_coordinates(self, sep_csv):
-        proc = run_cli("fit", sep_csv, "--k", "2")
-        report = json.loads(proc.stdout)
-        assert report["input"]["d"] == 2  # cluster column not treated as a coordinate
+    def test_label_column_ignored_for_coordinates(self, sep_csv, tmp_path):
+        # fit and baseline neither use the label column as a coordinate nor
+        # parse its values, so labels that are names do not stop them
+        named = tmp_path / "named.csv"
+        named.write_text(SEP_CSV.replace(",1\n", ",a\n").replace(",2\n", ",b\n"))
+        for path in (sep_csv, str(named)):
+            for cmd in ("fit", "baseline"):
+                proc = run_cli(cmd, path, "--k", "2")
+                assert proc.returncode == 0, proc.stderr
+                report = json.loads(proc.stdout)
+                assert report["input"]["d"] == 2
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--k", "2", "--method", "dp"],
@@ -343,6 +360,25 @@ class TestGen:
                 "--dim", "2", "--seed", "42", "--output", str(out),
             )
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_readme_cli_examples(tmp_path):
+    # each `treeclust` line of README's CLI block runs as written, in order,
+    # in one directory; `check` may answer either way
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("treeclust ")]
+    assert lines
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        out = None
+        if ">" in argv:
+            at = argv.index(">")
+            argv, out = argv[:at], argv[at + 1]
+        proc = run_cli(*argv, cwd=tmp_path)
+        assert proc.returncode in ((0, 1) if argv[0] == "check" else (0,)), (line, proc.stderr)
+        if out is not None:
+            (tmp_path / out).write_text(proc.stdout)
 
 
 class TestDotSizes:

@@ -291,16 +291,36 @@ class TestGreedyAndCheck:
         assert answers == {True, False}
 
     def test_check_matches_full_repair(self):
-        # the early stop answers as the whole repair does, up to n = 200
+        # the check, which runs on the s = 0 kernel, answers as the whole
+        # repair on all points does: up to n = 200, and where the clusters'
+        # extremes tie (coordinates in {0, 1}, zeros of either sign, one
+        # point in two clusters) or k = 1
         rng = random.Random(43)
-        answers = set()
+        cases = []
         for _ in range(40):
             k, hi = rng.randint(2, 5), rng.choice((3, 9, 30))
             cl = mixed_instance(rng, rng.randint(k, 200), rng.randint(1, 3), k, hi=hi)
+            cases.append(("mixed", cl))
+        for _ in range(40):
+            k = rng.randint(2, 4)
+            cl = mixed_instance(rng, rng.randint(k, 16), rng.randint(1, 3), k, hi=1)
+            cases.append(("0/1", cl))
+            pts = tuple(tuple(rng.choice((-0.0, 0.0)) if c == 0 else c for c in p)
+                        for p in cl.ds.points)
+            cases.append(("signed zeros", Clustering(Dataset(pts), cl.labels, k)))
+            shared = Dataset(cl.ds.points + cl.ds.points[:1])
+            cases.append(("shared", Clustering(shared, cl.labels + (cl.labels[0] % k + 1,), k)))
+        for _ in range(10):
+            n, d, hi = rng.randint(1, 20), rng.randint(1, 3), rng.choice((1, 9))
+            cases.append(("k = 1", random_clustering(rng, n, d, 1, hi=hi)))
+        answers: dict[str, set[bool]] = {}
+        for kind, cl in cases:
             want = greedy_explain(cl).removed_count == 0
-            assert check_explainable(cl) == want
-            answers.add(want)
-        assert answers == {True, False}
+            assert check_explainable(cl) == want, kind
+            answers.setdefault(kind, set()).add(want)
+        both = {True, False}
+        assert answers == {"mixed": both, "0/1": both, "signed zeros": both,
+                           "shared": {False}, "k = 1": {True}}
 
     def test_greedy_bound_against_opt(self):
         rng = random.Random(22)
