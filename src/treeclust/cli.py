@@ -10,22 +10,26 @@ tree. explain and fit with --format dot write the tree's DOT drawing
 instead, and each leaf's size counts only the kept points routed to it.
 Diagnostics go to stderr. Exit codes: 0 success / positive answer, 1
 well-formed but negative or infeasible answer, 2 usage or input error
-(coordinates so large that a cost overflows a float included, and any
-report number that is not finite, which JSON cannot hold), 3
-internal failure (a failed self-check or any other unexpected exception;
-stderr reads "error: internal: <Type>: <message>"). Each subcommand
-imports only the solver modules it runs.
+(coordinates so large that a cost overflows a float included, any
+report number that is not finite, which JSON cannot hold, and a
+non-finite --separation for gen), 3 internal failure (a failed
+self-check or any other unexpected exception; stderr reads
+"error: internal: <Type>: <message>"). Each subcommand imports only the
+solver modules it runs. Files the CLI writes (kernel's CSV and mapping
+JSON, gen's CSV) are UTF-8 with "\n" line ends; a path that cannot be
+written exits 2 with "error: cannot write <path>: <reason>".
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core import LIMITS, CostKind, Dataset, LimitExceededError
 from .serialize import tree_to_dot, tree_to_json_obj
@@ -102,14 +106,24 @@ def read_clustering(path: str, label_col: str) -> Clustering:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with "\n" line ends: the only
+    place the CLI opens an output file."""
     try:
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def write_csv(path: str, cl: Clustering, label_col: str, fmt: Callable[[float], object]) -> None:
+    """Write a labeled instance: header ``x1..xd,<label_col>``, then one row
+    per point with each coordinate as ``fmt(c)``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"x{i + 1}" for i in range(cl.ds.d)] + [label_col])
+    writer.writerows([*map(fmt, p), lab] for p, lab in zip(cl.ds.points, cl.labels))
+    _write(path, buf.getvalue())
 
 
 def _input(args, ds: Dataset, **params) -> dict:
@@ -207,18 +221,8 @@ def cmd_kernel(args) -> int:
     t0 = time.perf_counter()
     kernel, mapping = kernelize(cl, args.budget)
     elapsed = time.perf_counter() - t0
-    header = [f"x{i + 1}" for i in range(kernel.ds.d)] + [args.label_col]
-    rows = [
-        [int(c) for c in p] + [lab]
-        for p, lab in zip(kernel.ds.points, kernel.labels)
-    ]
-    write_csv(args.output, header, rows)
-    try:
-        with open(mapping_path, "w", encoding="utf-8") as fh:
-            json.dump({str(k): v for k, v in mapping.items()}, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise InputError(f"cannot write {mapping_path}: {exc}") from exc
+    write_csv(args.output, kernel, args.label_col, int)
+    _write(mapping_path, json.dumps({str(k): v for k, v in mapping.items()}, indent=2) + "\n")
     result = {
         "original_size": cl.ds.n,
         "kernel_size": kernel.ds.n,
@@ -236,29 +240,28 @@ def cmd_fit(args) -> int:
 
     ds, _ = read_dataset(args.input, args.label_col, require_labels=False)
     kind = CostKind(args.cost)
+    approx = args.method == "approx"
+    if approx and args.epsilon is None:
+        raise InputError("--method approx requires --epsilon")
     t0 = time.perf_counter()
-    extra: dict = {}
-    if args.method == "approx":
-        if args.epsilon is None:
-            raise InputError("--method approx requires --epsilon")
+    if approx:
         res = solve_approx(ds, args.k, kind, args.epsilon, force=args.force)
-        clusters = _kept(res.tree, ds, res.removed)
-        extra = {
-            "kept": sorted(res.kept),
-            "removed": sorted(res.removed),
-            "epsilon": res.epsilon,
-            "rank_grid": [list(ts) for ts in res.rank_grid],
-        }
     else:
         solve = solve_branching if args.method == "branch" else solve_dp
         res = solve(ds, args.k, kind, force=args.force)
-        clusters = res.clusters
     elapsed = time.perf_counter() - t0
+    clusters = _kept(res.tree, ds, res.removed) if approx else res.clusters
     result = {
         "cost": res.cost,
         "clusters": {str(lab): list(ids) for lab, ids in clusters.items()},
-        **extra,
     }
+    if approx:
+        result.update(
+            kept=sorted(res.kept),
+            removed=sorted(res.removed),
+            epsilon=res.epsilon,
+            rank_grid=[list(ts) for ts in res.rank_grid],
+        )
     return _report(
         args, _input(args, ds, k=args.k, cost=args.cost), args.method, result, elapsed,
         tree=res.tree, clusters=clusters,
@@ -289,6 +292,8 @@ def cmd_baseline(args) -> int:
 def cmd_gen(args) -> int:
     from .generate import gen_separated, gen_uniform, gen_xor
 
+    if not math.isfinite(args.separation):
+        raise InputError("--separation must be finite")
     t0 = time.perf_counter()
     if args.shape == "separated":
         cl = gen_separated(args.k, args.per_cluster, args.dim, args.separation, args.seed)
@@ -298,11 +303,7 @@ def cmd_gen(args) -> int:
         cl = gen_xor(args.per_cluster, args.dim, args.seed)
     else:
         cl = gen_uniform(args.k, args.per_cluster, args.dim, args.seed)
-    header = [f"x{i + 1}" for i in range(cl.ds.d)] + ["cluster"]
-    rows = [
-        [repr(c) for c in p] + [lab] for p, lab in zip(cl.ds.points, cl.labels)
-    ]
-    write_csv(args.output, header, rows)
+    write_csv(args.output, cl, DEFAULT_LABEL_COL, repr)
     elapsed = time.perf_counter() - t0
     inp = {
         "shape": args.shape,
@@ -350,35 +351,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Explainable clustering with threshold trees",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    csv_input = argparse.ArgumentParser(add_help=False)
+    csv_input.add_argument("input")
+    csv_input.add_argument("--label-col", default=DEFAULT_LABEL_COL)
 
-    def add_label_col(p):
-        p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
-
-    p = sub.add_parser("check", help="test whether a labeled CSV is explainable")
-    p.add_argument("input")
-    add_label_col(p)
+    p = sub.add_parser(
+        "check", parents=[csv_input], help="test whether a labeled CSV is explainable"
+    )
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("explain", help="repair a clustering by removing points")
-    p.add_argument("input")
-    add_label_col(p)
+    p = sub.add_parser(
+        "explain", parents=[csv_input], help="repair a clustering by removing points"
+    )
     p.add_argument("--method", choices=["greedy", "exact"], default="greedy")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--force", action="store_true")
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("kernel", help="shrink an instance, preserving the answer")
-    p.add_argument("input")
-    add_label_col(p)
+    p = sub.add_parser(
+        "kernel", parents=[csv_input], help="shrink an instance, preserving the answer"
+    )
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--mapping", default=None)
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("fit", help="optimal or approximate explainable clustering")
-    p.add_argument("input")
-    add_label_col(p)
+    p = sub.add_parser(
+        "fit", parents=[csv_input], help="optimal or approximate explainable clustering"
+    )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cost", choices=["means", "medians"], default="means")
     p.add_argument("--method", choices=["branch", "dp", "approx"], default="dp")
@@ -387,9 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("baseline", help="unconstrained Lloyd baseline")
-    p.add_argument("input")
-    add_label_col(p)
+    p = sub.add_parser("baseline", parents=[csv_input], help="unconstrained Lloyd baseline")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cost", choices=["means", "medians"], default="means")
     p.add_argument("--seed", type=int, default=0)
@@ -410,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle")  # hidden: debugging brute-force reference
     p.add_argument("which", choices=["explainable", "explanation", "unconstrained"])
     p.add_argument("input")
-    add_label_col(p)
+    p.add_argument("--label-col", default=DEFAULT_LABEL_COL)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--cost", choices=["means", "medians"], default="means")
     p.add_argument("--budget", type=int, default=0)

@@ -557,13 +557,12 @@ def lloyd_baseline(
         if new_labels == labels:
             break
         labels = new_labels
-        for j in range(1, k + 1):
-            members = [pts[i] for i in range(ds.n) if labels[i] == j]
-            if members:
-                centers[j - 1] = centroid(members, kind)
-    cost = 0.0
-    for j in range(1, k + 1):
-        members = [pts[i] for i in range(ds.n) if labels[i] == j]
-        if members:
-            cost += cluster_cost(members, kind)
+        groups: list[list[Point]] = [[] for _ in range(k)]
+        for p, lab in zip(pts, labels):
+            groups[lab - 1].append(p)
+        for j, g in enumerate(groups):
+            if g:
+                centers[j] = centroid(g, kind)
+    # the first pass always changes labels, so groups holds the final ones
+    cost = sum((cluster_cost(g, kind) for g in groups if g), 0.0)
     return LloydResult(tuple(centers), tuple(labels), cost)

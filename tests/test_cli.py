@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,23 @@ class TestKernel:
             assert sorted(p.name for p in tmp_path.iterdir()) == ["sep.csv", "sub"]
 
 
+@pytest.mark.parametrize("target", ["kernel-output", "kernel-mapping", "gen-output"])
+def test_unwritable_path_exits_two(tmp_path, sep_csv, target):
+    # every file the CLI writes goes through one writer with one message
+    bad = str(tmp_path / "missing" / "out")
+    argv = {
+        "kernel-output": ["kernel", sep_csv, "--budget", "0", "--output", bad],
+        "kernel-mapping": ["kernel", sep_csv, "--budget", "0", "--output",
+                           str(tmp_path / "kern.csv"), "--mapping", bad],
+        "gen-output": ["gen", "--shape", "xor", "--k", "2", "--per-cluster", "2",
+                       "--dim", "2", "--output", bad],
+    }[target]
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot write {bad}:")
+
+
 class TestFit:
     def test_dp_cost(self, tmp_path):
         p = tmp_path / "pts.csv"
@@ -294,6 +312,22 @@ class TestFit:
         assert err == "error: internal: AssertionError: approx removal bound violated\n"
 
 
+    def test_wall_time_covers_only_the_solver(self, tmp_path, monkeypatch, capsys):
+        # routing the points through the tree is output, not solve time
+        p = tmp_path / "pts.csv"
+        p.write_text(PTS_CSV)
+        kept = cli._kept
+
+        def slow_kept(*args):
+            time.sleep(0.3)
+            return kept(*args)
+
+        monkeypatch.setattr(cli, "_kept", slow_kept)
+        argv = ["fit", str(p), "--k", "2", "--method", "approx", "--epsilon", "0.5"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["wall_time_s"] < 0.3
+
+
 class TestBaseline:
     def test_ratio_reported(self, tmp_path):
         p = tmp_path / "pts.csv"
@@ -360,6 +394,20 @@ class TestGen:
                 "--dim", "2", "--seed", "42", "--output", str(out),
             )
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "shape, separation", [("uniform", "nan"), ("xor", "inf"), ("separated", "inf")]
+    )
+    def test_non_finite_separation_exits_two(self, tmp_path, shape, separation):
+        out = tmp_path / "g.csv"
+        proc = run_cli(
+            "gen", "--shape", shape, "--k", "2", "--per-cluster", "2", "--dim", "2",
+            "--separation", separation, "--output", str(out),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --separation must be finite\n"
+        assert not out.exists()
 
 
 def test_readme_cli_examples(tmp_path):
