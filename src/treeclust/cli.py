@@ -17,7 +17,8 @@ self-check or any other unexpected exception; stderr reads
 "error: internal: <Type>: <message>"). Each subcommand imports only the
 solver modules it runs. Files the CLI writes (kernel's CSV and mapping
 JSON, gen's CSV) are UTF-8 with "\n" line ends; a path that cannot be
-written exits 2 with "error: cannot write <path>: <reason>".
+written exits 2 with "error: cannot write <path>: <reason>", and kernel
+then removes the CSV it wrote, so no kernel CSV is left without its mapping.
 """
 from __future__ import annotations
 
@@ -222,7 +223,11 @@ def cmd_kernel(args) -> int:
     kernel, mapping = kernelize(cl, args.budget)
     elapsed = time.perf_counter() - t0
     write_csv(args.output, kernel, args.label_col, int)
-    _write(mapping_path, json.dumps({str(k): v for k, v in mapping.items()}, indent=2) + "\n")
+    try:
+        _write(mapping_path, json.dumps({str(k): v for k, v in mapping.items()}, indent=2) + "\n")
+    except InputError:
+        os.remove(args.output)  # a kernel CSV is never left without its mapping
+        raise
     result = {
         "original_size": cl.ds.n,
         "kernel_size": kernel.ds.n,

@@ -11,7 +11,6 @@ Python's ``/`` rounds correctly (``_exact_cost``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
@@ -48,22 +47,68 @@ class CostKind(Enum):
     MEDIANS = "medians"
 
 
-@dataclass(frozen=True)
-class Dataset:
+# Sets a field of a _Record from the record's own __init__.
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable records. A subclass names its fields
+    in ``__slots__`` and sets them in its own ``__init__`` with ``_set``.
+    Like a frozen dataclass, a record compares equal only to a record of
+    the same class with equal fields, hashes and prints its fields in
+    order, refuses assignment and deletion, copies and pickles through its
+    constructor, and matches its fields positionally. Keeping these few
+    methods here spares every import of the package the dataclasses module
+    and the inspect, ast and dis modules it loads."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class Dataset(_Record):
+    __slots__ = ("points",)
     points: tuple[Point, ...]
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: tuple[Point, ...]) -> None:
+        if not points:
             raise ValueError("dataset must contain at least one point")
-        d = len(self.points[0])
+        d = len(points[0])
         if d < 1:
             raise ValueError("points must have dimension >= 1")
-        for p in self.points:
+        for p in points:
             if len(p) != d:
                 raise ValueError("all points must share the same dimension")
             for c in p:
                 if not math.isfinite(c):
                     raise ValueError("coordinates must be finite")
+        _set(self, "points", points)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[float]]) -> "Dataset":
@@ -78,38 +123,42 @@ class Dataset:
         return len(self.points[0])
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(_Record):
     """Axis cut: points with coords[dim] <= theta go left. dim is 1-based."""
 
+    __slots__ = ("dim", "theta")
     dim: int
     theta: float
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int, theta: float) -> None:
+        if dim < 1:
             raise ValueError("cut dimension must be >= 1")
-        if not math.isfinite(self.theta):
+        if not math.isfinite(theta):
             raise ValueError("cut threshold must be finite")
+        _set(self, "dim", dim)
+        _set(self, "theta", theta)
 
     def goes_left(self, p: Point) -> bool:
         return p[self.dim - 1] <= self.theta
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(_Record):
     """Half-open axis-aligned region (a, b]; +-inf bounds are allowed."""
 
+    __slots__ = ("a", "b")
     a: tuple[float, ...]
     b: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.a) != len(self.b):
+    def __init__(self, a: tuple[float, ...], b: tuple[float, ...]) -> None:
+        if len(a) != len(b):
             raise ValueError("box bounds must have equal dimension")
-        if not self.a:
+        if not a:
             raise ValueError("box must have dimension >= 1")
-        for lo, hi in zip(self.a, self.b):
+        for lo, hi in zip(a, b):
             if not lo < hi:
                 raise ValueError("box requires a[i] < b[i] in every dimension")
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     @classmethod
     def universal(cls, d: int) -> "Box":

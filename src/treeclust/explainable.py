@@ -22,13 +22,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from heapq import heappop, heappush, heappushpop
 from itertools import accumulate, count, groupby, repeat, zip_longest
 from operator import add, itemgetter, or_, truediv
 
 from .core import (CostKind, Cut, Dataset, Point, _check_limits, _exact_cost, _int_columns,
-                   _prefix_masks, _splits, centroid, cluster_cost)
+                   _prefix_masks, _Record, _set, _splits, centroid, cluster_cost)
 from .tree import Internal, Leaf, ThresholdTree, TreeNode, tree_evaluate
 
 _INF = math.inf
@@ -38,16 +37,25 @@ _LEAF = Leaf(0)
 _KNOWN_MAX = 1 << 16
 
 
-@dataclass(frozen=True)
-class ExplainableResult:
+class ExplainableResult(_Record):
+    __slots__ = ("tree", "clusters", "cost", "kind")
     tree: ThresholdTree
     clusters: dict[int, tuple[int, ...]]
     cost: float
     kind: CostKind
 
+    def __init__(
+        self, tree: ThresholdTree, clusters: dict[int, tuple[int, ...]], cost: float,
+        kind: CostKind,
+    ) -> None:
+        _set(self, "tree", tree)
+        _set(self, "clusters", clusters)
+        _set(self, "cost", cost)
+        _set(self, "kind", kind)
 
-@dataclass(frozen=True)
-class ApproxResult:
+
+class ApproxResult(_Record):
+    __slots__ = ("kept", "removed", "tree", "cost", "epsilon", "rank_grid")
     kept: frozenset[int]
     removed: frozenset[int]
     tree: ThresholdTree
@@ -55,12 +63,28 @@ class ApproxResult:
     epsilon: float
     rank_grid: tuple[tuple[float, ...], ...]
 
+    def __init__(
+        self, kept: frozenset[int], removed: frozenset[int], tree: ThresholdTree, cost: float,
+        epsilon: float, rank_grid: tuple[tuple[float, ...], ...],
+    ) -> None:
+        _set(self, "kept", kept)
+        _set(self, "removed", removed)
+        _set(self, "tree", tree)
+        _set(self, "cost", cost)
+        _set(self, "epsilon", epsilon)
+        _set(self, "rank_grid", rank_grid)
 
-@dataclass(frozen=True)
-class LloydResult:
+
+class LloydResult(_Record):
+    __slots__ = ("centers", "labels", "cost")
     centers: tuple[Point, ...]
     labels: tuple[int, ...]
     cost: float
+
+    def __init__(self, centers: tuple[Point, ...], labels: tuple[int, ...], cost: float) -> None:
+        _set(self, "centers", centers)
+        _set(self, "labels", labels)
+        _set(self, "cost", cost)
 
 
 def _relabel(node: TreeNode) -> TreeNode:

@@ -16,32 +16,34 @@ root's entry is the answer and no reconstruction walk follows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Cut, Dataset, Point, _check_limits, _prefix_masks, _splits
+from .core import Cut, Dataset, Point, _check_limits, _prefix_masks, _Record, _set, _splits
 from .tree import Internal, Leaf, ThresholdTree, TreeNode
 
 
-@dataclass(frozen=True)
-class Clustering:
+class Clustering(_Record):
     """A dataset plus a per-point label in 1..k; every cluster nonempty."""
 
+    __slots__ = ("ds", "labels", "k")
     ds: Dataset
     labels: tuple[int, ...]
     k: int
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != self.ds.n:
+    def __init__(self, ds: Dataset, labels: tuple[int, ...], k: int) -> None:
+        if len(labels) != ds.n:
             raise ValueError("one label per point required")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("k must be >= 1")
-        seen = set(self.labels)
-        if not seen <= set(range(1, self.k + 1)):
+        seen = set(labels)
+        if not seen <= set(range(1, k + 1)):
             raise ValueError("labels must lie in 1..k")
-        if seen != set(range(1, self.k + 1)):
-            missing = sorted(set(range(1, self.k + 1)) - seen)
+        if seen != set(range(1, k + 1)):
+            missing = sorted(set(range(1, k + 1)) - seen)
             raise ValueError(f"empty input cluster(s): {missing}")
+        _set(self, "ds", ds)
+        _set(self, "labels", labels)
+        _set(self, "k", k)
 
     @classmethod
     def from_labels(cls, ds: Dataset, labels: Sequence[int]) -> "Clustering":
@@ -61,10 +63,14 @@ class Clustering:
         return {label: self.cluster_ids(label) for label in range(1, self.k + 1)}
 
 
-@dataclass(frozen=True)
-class ExplanationResult:
+class ExplanationResult(_Record):
+    __slots__ = ("removed", "tree")
     removed: frozenset[int]
     tree: ThresholdTree
+
+    def __init__(self, removed: frozenset[int], tree: ThresholdTree) -> None:
+        _set(self, "removed", removed)
+        _set(self, "tree", tree)
 
     @property
     def removed_count(self) -> int:

@@ -8,22 +8,29 @@ recursively.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .core import Cut, Dataset
+from .core import Cut, Dataset, _Record, _set
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(_Record):
+    __slots__ = ("label",)
     label: int
 
+    def __init__(self, label: int) -> None:
+        _set(self, "label", label)
 
-@dataclass(frozen=True)
-class Internal:
+
+class Internal(_Record):
+    __slots__ = ("cut", "left", "right")
     cut: Cut
     left: "TreeNode"
     right: "TreeNode"
+
+    def __init__(self, cut: Cut, left: "TreeNode", right: "TreeNode") -> None:
+        _set(self, "cut", cut)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 TreeNode = Union[Leaf, Internal]
@@ -32,9 +39,12 @@ TreeNode = Union[Leaf, Internal]
 TreeShape = tuple
 
 
-@dataclass(frozen=True)
-class ThresholdTree:
+class ThresholdTree(_Record):
+    __slots__ = ("root",)
     root: TreeNode
+
+    def __init__(self, root: TreeNode) -> None:
+        _set(self, "root", root)
 
     @property
     def leaf_count(self) -> int:

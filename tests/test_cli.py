@@ -209,6 +209,7 @@ def test_unwritable_path_exits_two(tmp_path, sep_csv, target):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: cannot write {bad}:")
+    assert not (tmp_path / "kern.csv").exists()  # no kernel CSV without its mapping
 
 
 class TestFit:
@@ -572,6 +573,15 @@ class TestPublicSurface:
         assert proc.stdout.split() == [
             "treeclust", "treeclust.cli", "treeclust.core", "treeclust.serialize", "treeclust.tree",
         ]
+
+    def test_no_module_loads_dataclasses_or_inspect(self):
+        # start-up: dataclasses loads inspect, ast, dis and tokenize
+        code = ("import sys, treeclust.cli, treeclust.core, treeclust.tree, treeclust.serialize, "
+                "treeclust.explanation, treeclust.explainable, treeclust.generate, treeclust.oracle; "
+                "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
     def test_help_exits_zero(self):
         proc = run_cli("--help")

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import statistics
 
@@ -6,12 +8,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treeclust import (
+    ApproxResult,
     Box,
     Clustering,
     CostKind,
     Cut,
     Dataset,
+    ExplainableResult,
+    ExplanationResult,
+    Internal,
+    Leaf,
     LimitExceededError,
+    LloydResult,
+    ThresholdTree,
     box_members,
     canonical_thresholds,
     centroid,
@@ -159,6 +168,84 @@ def test_box_membership_half_open():
     assert box_members(ds, box) == [1]
     with pytest.raises(ValueError):
         Box((0.0,), (0.0,))
+
+
+_DS = Dataset(((0.0, 1.0), (2.0, 3.0)))
+_DS_TEXT = "Dataset(points=((0.0, 1.0), (2.0, 3.0)))"
+_NODE = Internal(Cut(1, 0.5), Leaf(1), Leaf(2))
+_NODE_TEXT = "Internal(cut=Cut(dim=1, theta=0.5), left=Leaf(label=1), right=Leaf(label=2))"
+_TREE = ThresholdTree(_NODE)
+_TREE_TEXT = f"ThresholdTree(root={_NODE_TEXT})"
+
+# Every public record type: its fields in order, one valid set of arguments
+# and its repr, and, where the constructor validates, arguments it rejects
+# with their message.
+RECORDS = [
+    (Dataset, ("points",), (_DS.points,), _DS_TEXT,
+     ((),), "dataset must contain at least one point"),
+    (Cut, ("dim", "theta"), (1, 0.5), "Cut(dim=1, theta=0.5)",
+     (0, 0.5), "cut dimension must be >= 1"),
+    (Box, ("a", "b"), ((0.0,), (1.0,)), "Box(a=(0.0,), b=(1.0,))",
+     ((1.0,), (0.0,)), "box requires a[i] < b[i] in every dimension"),
+    (Leaf, ("label",), (1,), "Leaf(label=1)", None, None),
+    (Internal, ("cut", "left", "right"), (_NODE.cut, _NODE.left, _NODE.right), _NODE_TEXT,
+     None, None),
+    (ThresholdTree, ("root",), (_NODE,), _TREE_TEXT, None, None),
+    (Clustering, ("ds", "labels", "k"), (_DS, (1, 2), 2),
+     f"Clustering(ds={_DS_TEXT}, labels=(1, 2), k=2)",
+     (_DS, (1, 1), 2), "empty input cluster(s): [2]"),
+    (ExplanationResult, ("removed", "tree"), (frozenset({1}), _TREE),
+     f"ExplanationResult(removed=frozenset({{1}}), tree={_TREE_TEXT})", None, None),
+    (ExplainableResult, ("tree", "clusters", "cost", "kind"),
+     (_TREE, {1: (0,), 2: (1,)}, 0.0, CostKind.MEANS),
+     f"ExplainableResult(tree={_TREE_TEXT}, clusters={{1: (0,), 2: (1,)}}, cost=0.0, "
+     "kind=<CostKind.MEANS: 'means'>)", None, None),
+    (ApproxResult, ("kept", "removed", "tree", "cost", "epsilon", "rank_grid"),
+     (frozenset({0, 1}), frozenset(), _TREE, 0.0, 0.5, ((0.5,), ())),
+     f"ApproxResult(kept=frozenset({{0, 1}}), removed=frozenset(), tree={_TREE_TEXT}, "
+     "cost=0.0, epsilon=0.5, rank_grid=((0.5,), ()))", None, None),
+    (LloydResult, ("centers", "labels", "cost"), (((1.0, 2.0),), (1, 1), 4.0),
+     "LloydResult(centers=((1.0, 2.0),), labels=(1, 1), cost=4.0)", None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, args, text, bad, message", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_record_behaves_as_a_frozen_dataclass(cls, fields, args, text, bad, message):
+    rec = cls(*args)
+    assert rec == cls(**dict(zip(fields, args)))
+    assert tuple(getattr(rec, f) for f in fields) == args
+    assert cls.__match_args__ == fields
+    if bad is not None:
+        for call in (lambda: cls(*bad), lambda: cls(**dict(zip(fields, bad)))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, f, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, f)
+    assert tuple(getattr(rec, f) for f in fields) == args
+
+    class Twin(cls):
+        __slots__ = ()
+
+    assert rec != Twin(*args) and Twin(*args) != rec  # equal only within a class
+    assert rec != args
+    assert repr(rec) == text
+    if any(isinstance(a, dict) for a in args):  # a dict field makes the record unhashable
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(rec) == hash(args)
+    for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(twin) is cls and twin == rec
+
+
+def test_records_carry_no_instance_dict():
+    assert [cls.__name__ for cls, _, args, *_ in RECORDS if hasattr(cls(*args), "__dict__")] == []
 
 
 @given(
