@@ -248,36 +248,42 @@ def _split_search(
     a subset, no leaf of an optimal tree costs more, an empty leaf goes with
     its cut, and a leaf with two distinct points is split (raising no cost)
     until q leaves remain. So along a run, opt(L_i, s1) never decreases and
-    opt(R_i, s2) never increases, and opt(L_i, s1) + opt(R_j, s2) bounds
-    every total of the cuts i..j. Runs are cut to their feasible range,
-    where the sides have at least s1 and s2 distinct points (the inf
+    opt(R_i, s2) never increases, and opt(L_i-1, s1) + opt(R_j+1, s2)
+    bounds every total of the cuts i..j; so does that sum with a term
+    replaced by 0, as every cost is >= 0. Runs are cut to their feasible
+    range, where the sides have at least s1 and s2 distinct points (the inf
     outside breaks monotonicity); a canonical state holds all copies of a
     point or none, so its members among ``reps`` count its distinct points.
-    Both ends of a range are priced and the block between them is pushed
-    on a heap keyed by its bound; the least block is popped, its midpoint
-    priced and its halves pushed. A cut replaces the incumbent on (total,
+    Each range is pushed whole, as the inclusive block lo..hi with bound 0,
+    on a heap keyed by (bound, position of the block's first cut). The
+    least block i..j is popped and its midpoint m priced; then i..m-1 is
+    pushed with bound f + opt(R_m, s2) and m+1..j with opt(L_m, s1) + g,
+    where f and g are the left and right optima of the nearest priced cut
+    outside i..j, or 0 at an end of the range; so no cut is priced before
+    its block's bound is checked. A cut replaces the incumbent on (total,
     position (s1, index)), which keeps the loop's first minimum, and a
-    block is dropped when bound / slack > best, or == best and it starts
-    after the incumbent.
+    block is dropped when bound / slack > best, or == best and its first
+    cut comes after the incumbent.
 
     Slack = 1 + (4k + 8)u, u = 2^-53, covers the rounding. Let F(X, q), the
-    search's optimum, be the least float total of its q-leaf trees of X.
-    A leaf's float is its exact cost times 1 + d, |d| <= u (below 2^-1022,
+    search's optimum, be the least float total of its q-leaf trees of X. A
+    leaf's float is its exact cost times 1 + d, |d| <= u (below 2^-1022,
     plus at most 2^-1075), and passes at most q - 1 float sums, which are
-    exact below 2^-1022. So with r = (1 + u) / (1 - u), restricting the
-    tree of F(L_m, s1) to L_i gives F(L_i, s1) <= r^s1 F(L_m, s1), likewise
-    on the right, and a bound, one more sum, is at most r^k times each
-    total of its block. If bound / slack rounds to best or more, each total
-    is at least slack * best / ((1 + u) r^k) > best, as (1 + u) r^k <=
+    exact below 2^-1022. So with r = (1 + u) / (1 - u), for a cut m of a
+    block and the priced cut i before it, restricting the tree of F(L_m, s1)
+    to L_i gives F(L_i, s1) <= r^s1 F(L_m, s1), likewise on the right (a
+    term of 0 is below any), and a bound, one more sum, is at most r^k times
+    each total of its block. If bound / slack rounds to best or more, each
+    total is at least slack * best / ((1 + u) r^k) > best, as (1 + u) r^k <=
     1 + (2k + 2)u for k < 2^40; the spare (2k + 6)u * best exceeds the
     subnormal terms (under 2k * 2^-1075) once best >= 2^-1022, and a
     restricted tree's sum can overflow only for a total within 2k ulps of
     the largest float, above best * slack. At best = 0, a total of 0 needs
-    every leaf to round to 0, and then so do the restricted trees' leaves:
-    a positive bound means positive totals, and the position rule settles
-    a bound of 0. Hence no block is dropped while 0 < best < 2^-1022, nor
-    one whose bound is inf (a finite total may lie in it, or no incumbent
-    exists yet).
+    every leaf to round to 0, and then so do the restricted trees' leaves: a
+    positive bound means positive totals, and the position rule settles a
+    bound of 0. Hence no block is dropped while 0 < best < 2^-1022, nor one
+    whose bound is inf (a finite total may lie in it, or no incumbent exists
+    yet).
 
     With n' = 0, raises ValueError when the points have fewer than k
     distinct positions and OverflowError when no tree has a finite cost.
@@ -381,22 +387,20 @@ def _split_search(
                 lo = bisect_left(seen, s1, start, end)
                 hi = bisect_right(seen, distinct - (s - s1), start, end) - 1
                 if lo <= hi:
-                    f, g = price(s1, lo)[0], price(s1, hi)[1]
-                    if hi - lo > 1:
-                        heappush(heap, (f + g, s1 * width + lo, lo, hi, f, g, s1))
+                    heappush(heap, (0.0, s1 * width + lo, lo, hi, 0.0, 0.0, s1))
         while heap:
             bound, start, i, j, f, g, s1 = heappop(heap)
             limit = bound / slack
             if bound < _INF and not 0 < best < _NORMAL and (
                 limit > best or limit == best and start >= at
             ):
-                continue  # no cut strictly inside i..j can replace the incumbent
+                continue  # no cut in i..j can replace the incumbent
             m = (i + j) >> 1
             fm, gm = price(s1, m)
-            if m - i > 1:
-                heappush(heap, (f + gm, start, i, m, f, gm, s1))
-            if j - m > 1:
-                heappush(heap, (fm + g, start - i + m, m, j, fm, g, s1))
+            if m > i:
+                heappush(heap, (f + gm, start, i, m - 1, f, gm, s1))
+            if j > m:
+                heappush(heap, (fm + g, start - i + m + 1, m + 1, j, fm, g, s1))
         return best, win and cut_node(*win), 0
 
     def grid_loop(mask: int, s: int) -> tuple[float, TreeNode | None, int]:
@@ -567,17 +571,19 @@ def lloyd_baseline(
     rng = random.Random(seed)
     centers = [ds.points[i] for i in rng.sample(range(ds.n), k)]
     pts = ds.points
-
-    def dist(p: Point, c: Point) -> float:
-        if kind is CostKind.MEANS:
-            return sum((a - b) ** 2 for a, b in zip(p, c))
-        return sum(abs(a - b) for a, b in zip(p, c))
-
+    cols = list(zip(*pts))
+    means = kind is CostKind.MEANS
     labels = [0] * ds.n
     for _ in range(iters):
-        new_labels = [
-            min(range(k), key=lambda j: (dist(p, centers[j]), j)) + 1 for p in pts
-        ]
+        dists = []
+        for c in centers:
+            # one list of terms per dimension, summed per point in dimension
+            # order by sum(); ** (not *) raises OverflowError as cluster_cost does
+            terms = [[(v - x) ** 2 for v in col] if means else [abs(v - x) for v in col]
+                     for col, x in zip(cols, c)]
+            dists.append(list(map(sum, zip(*terms))))
+        # the first center at least distance: min keeps the first of equals
+        new_labels = [row.index(min(row)) + 1 for row in zip(*dists)]
         if new_labels == labels:
             break
         labels = new_labels

@@ -7,11 +7,14 @@ import random
 from treeclust import (
     ApproxResult,
     Clustering,
+    CostKind,
     Cut,
     Dataset,
     Internal,
     Leaf,
+    LloydResult,
     ThresholdTree,
+    centroid,
     cluster_cost,
     enumerate_shapes,
     solve_branching,
@@ -129,6 +132,38 @@ def reference_split_search(ds, k: int, kind):
     if node is None:
         raise ValueError("no explainable k-clustering: too few distinct points")
     return cost, node
+
+
+def reference_lloyd(ds, k: int, kind, seed: int, iters: int = 50) -> LloydResult:
+    """``lloyd_baseline`` as it was before it computed distances one column
+    at a time: each (point, center) distance is one ``sum`` over the
+    coordinates, and a point takes the least (distance, center index).
+    Kept as the reference that the production loop must match bit for bit."""
+    rng = random.Random(seed)
+    centers = [ds.points[i] for i in rng.sample(range(ds.n), k)]
+    pts = ds.points
+
+    def dist(p, c):
+        if kind is CostKind.MEANS:
+            return sum((a - b) ** 2 for a, b in zip(p, c))
+        return sum(abs(a - b) for a, b in zip(p, c))
+
+    labels = [0] * ds.n
+    for _ in range(iters):
+        new_labels = [
+            min(range(k), key=lambda j: (dist(p, centers[j]), j)) + 1 for p in pts
+        ]
+        if new_labels == labels:
+            break
+        labels = new_labels
+        groups = [[] for _ in range(k)]
+        for p, lab in zip(pts, labels):
+            groups[lab - 1].append(p)
+        for j, g in enumerate(groups):
+            if g:
+                centers[j] = centroid(g, kind)
+    cost = sum((cluster_cost(g, kind) for g in groups if g), 0.0)
+    return LloydResult(tuple(centers), tuple(labels), cost)
 
 
 def _rank_grid(ds, nprime: int):

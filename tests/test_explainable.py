@@ -28,6 +28,7 @@ from treeclust.core import _prefix_masks, _splits
 from helpers import (
     _rank_grid,
     random_points,
+    reference_lloyd,
     reference_solve_approx,
     reference_split_search,
     tie_heavy_points,
@@ -514,17 +515,10 @@ class TestSplitSearch:
     def test_dropping_the_map_keeps_results(self, monkeypatch):
         monkeypatch.setattr(explainable, "_KNOWN_MAX", 8)
         rng = random.Random(46)
-        for _ in range(40):
-            ds = Dataset(tie_heavy_points(rng, rng.randint(6, 20), rng.randint(1, 3)))
-            k = rng.randint(2, 4)
-            for kind in BOTH_KINDS:
-                try:
-                    cost, node = reference_split_search(ds, k, kind)
-                except ValueError:
-                    continue
-                got = solve_dp(ds, k, kind, force=True)
-                assert repr(got.cost) == repr(cost)
-                assert got.tree == explainable._finish(node, ds, cost, kind).tree
+        cases = [(tie_heavy_points(rng, rng.randint(6, 20), rng.randint(1, 3)),
+                  rng.randint(2, 5)) for _ in range(100)]
+        for solver in (solve_dp, solve_branching):
+            assert _matches_reference(cases, solver) >= 170
 
     def test_two_leaf_layer_prices_few_leaves(self, monkeypatch):
         calls = _count_two_leaf_states(monkeypatch)
@@ -537,7 +531,7 @@ class TestSplitSearch:
         monkeypatch.setattr(explainable, "_exact_cost", exact)
         ds = Dataset(random_points(random.Random(44), 120, 2, hi=10**6))
         solve_branching(ds, 3, CostKind.MEDIANS)
-        # 101 two-leaf states and 101 single leaves, the other sides of the
+        # 92 two-leaf states and 92 single leaves, the other sides of the
         # root's priced cuts; pricing each side of each two-leaf state on its
         # own takes 28,856 single leaves
         assert calls["states"] < 150 and calls["leaf"] < 300, calls
@@ -547,17 +541,20 @@ class TestSplitSearch:
         calls = _count_two_leaf_states(monkeypatch)
         ds = Dataset(random_points(random.Random(5), 200, 2, hi=10**6))
         solve_branching(ds, 3, kind)
-        # 63 two-leaf states (MEANS) and 109 (MEDIANS); pricing every cut of
+        # 54 two-leaf states (MEANS) and 105 (MEDIANS); pricing every cut of
         # the root takes 792 of them
         assert calls["states"] < 250, calls
 
     def test_quota_three_states_price_few_two_leaf_states(self, monkeypatch):
         calls = _count_two_leaf_states(monkeypatch)
         ds = Dataset(random_points(random.Random(45), 40, 2, hi=10**6))
-        solve_dp(ds, 4, CostKind.MEANS)
-        # 698 two-leaf states; pricing every cut of every state with three
-        # or more leaves takes 2,916
-        assert calls["states"] < 900, calls
+        # 535 two-leaf states (MEANS) and 1,322 (MEDIANS); pricing both ends
+        # of each run first takes 698 and 1,630, and pricing every cut of
+        # every state with three or more leaves 2,916 (MEANS)
+        for kind, most in [(CostKind.MEANS, 600), (CostKind.MEDIANS, 1450)]:
+            calls["states"] = 0
+            solve_dp(ds, 4, kind)
+            assert calls["states"] < most, (kind, calls)
 
     def test_releases_its_maps(self, monkeypatch):
         class Cost(float):
@@ -826,6 +823,27 @@ class TestLloydBaseline:
         a = lloyd_baseline(ds, 3, CostKind.MEDIANS, seed=7)
         b = lloyd_baseline(ds, 3, CostKind.MEDIANS, seed=7)
         assert a == b
+
+    def test_matches_reference(self):
+        """Centers, labels and cost, signed zeros included, equal the
+        per-pair loop's on tie-heavy and signed-zero inputs."""
+        rng = random.Random(50)
+        inputs = [tie_heavy_points(rng, rng.randint(5, 30), rng.randint(1, 3))
+                  for _ in range(60)]
+        inputs += [tuple(tuple(rng.choice([0.0, -0.0, 1.0, -1.0]) for _ in range(d))
+                         for _ in range(rng.randint(5, 20)))
+                   for d in (1, 2, 3) for _ in range(10)]
+        compared = 0
+        for pts in inputs:
+            ds = Dataset(pts)
+            for kind in BOTH_KINDS:
+                for k in range(1, min(5, ds.n) + 1):
+                    seed = rng.randrange(1000)
+                    got = lloyd_baseline(ds, k, kind, seed)
+                    want = reference_lloyd(ds, k, kind, seed)
+                    assert got == want and repr(got) == repr(want), (pts, k, kind, seed)
+                    compared += 1
+        assert compared == 900
 
     def test_validates_args(self):
         with pytest.raises(ValueError):
