@@ -11,9 +11,10 @@ instead, and each leaf's size counts only the kept points routed to it.
 Diagnostics go to stderr. Exit codes: 0 success / positive answer, 1
 well-formed but negative or infeasible answer, 2 usage or input error
 (coordinates so large that a cost overflows a float included, any
-report number that is not finite, which JSON cannot hold, and a
-non-finite --separation for gen), 3 internal failure (a failed
-self-check or any other unexpected exception; stderr reads
+report number that is not finite, which JSON cannot hold, a tree nested
+deeper than the json module can write, and a non-finite --separation for
+gen), 3 internal failure (a failed self-check or any other unexpected
+exception; stderr reads
 "error: internal: <Type>: <message>"). Each subcommand imports only the
 solver modules it runs. Files the CLI writes (kernel's CSV and mapping
 JSON, gen's CSV) are UTF-8 with "\n" line ends; a path that cannot be
@@ -169,6 +170,9 @@ def _report(
         text = json.dumps(report, indent=2, allow_nan=False)
     except ValueError as exc:  # JSON has no NaN or infinity
         raise InputError("a reported number is not finite (it overflows a float)") from exc
+    except RecursionError as exc:  # json nests only as deep as the recursion limit
+        raise InputError(f"the tree is too deep for a JSON report: json nests fewer than "
+                         f"{sys.getrecursionlimit()} levels; use --format dot") from exc
     sys.stdout.write(text + "\n")
     return code
 

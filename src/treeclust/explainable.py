@@ -28,7 +28,7 @@ from operator import add, itemgetter, or_, truediv
 
 from .core import (CostKind, Cut, Dataset, Point, _check_limits, _exact_cost, _int_columns,
                    _prefix_masks, _Record, _set, _splits, centroid, cluster_cost)
-from .tree import Internal, Leaf, ThresholdTree, TreeNode, tree_evaluate
+from .tree import Internal, Leaf, ThresholdTree, TreeNode, _walk, tree_evaluate
 
 _INF = math.inf
 _NORMAL = 2.0 ** -1022  # the least positive normal float
@@ -90,13 +90,13 @@ class LloydResult(_Record):
 def _relabel(node: TreeNode) -> TreeNode:
     """Assign leaf labels 1..k left to right (input leaves are placeholders)."""
     labels = count(1)
-
-    def walk(nd: TreeNode) -> TreeNode:
+    done: list[TreeNode] = []  # the relabeled subtrees not yet joined to a parent
+    for nd, enter in _walk(node):
         if isinstance(nd, Leaf):
-            return Leaf(next(labels))
-        return Internal(nd.cut, walk(nd.left), walk(nd.right))
-
-    return walk(node)
+            done.append(Leaf(next(labels)))
+        elif not enter:
+            done[-2:] = [Internal(nd.cut, *done[-2:])]
+    return done[0]
 
 
 def _finish(node: TreeNode, ds: Dataset, cost: float, kind: CostKind) -> ExplainableResult:

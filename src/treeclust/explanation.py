@@ -201,21 +201,28 @@ def _best_cut(
 def _greedy(
     pts: Sequence[Point], labels: Sequence[int], active: Sequence[int]
 ) -> tuple[set[int], TreeNode]:
-    present = sorted({labels[i] for i in active})
-    if len(present) <= 1:
-        return set(), Leaf(present[0])
-    cut, removed = _best_cut(pts, labels, active)
-    survivors = [i for i in active if i not in removed]
-    left = [i for i in survivors if pts[i][cut.dim - 1] <= cut.theta]
-    right = [i for i in survivors if pts[i][cut.dim - 1] > cut.theta]
-    # A fully evicted cluster can leave one side empty; the cut then does
-    # not become a tree node.
-    if not left or not right:
-        rem, node = _greedy(pts, labels, left or right)
-        return removed | rem, node
-    rem_l, node_l = _greedy(pts, labels, left)
-    rem_r, node_r = _greedy(pts, labels, right)
-    return removed | rem_l | rem_r, Internal(cut, node_l, node_r)
+    """Greedy removal set and tree of the active points, built on an explicit
+    work stack (so at any depth): pop a point set and push (cut, right, left);
+    pop a cut and join the last two finished subtrees under it."""
+    removed: set[int] = set()
+    done: list[TreeNode] = []  # finished subtrees not yet joined to a parent
+    work: list[Sequence[int] | Cut] = [active]
+    while work:
+        item = work.pop()
+        if isinstance(item, Cut):
+            done[-2:] = [Internal(item, *done[-2:])]
+        elif len({labels[i] for i in item}) <= 1:
+            done.append(Leaf(labels[item[0]]))
+        else:
+            cut, gone = _best_cut(pts, labels, item)
+            removed |= gone
+            survivors = [i for i in item if i not in gone]
+            left = [i for i in survivors if pts[i][cut.dim - 1] <= cut.theta]
+            right = [i for i in survivors if pts[i][cut.dim - 1] > cut.theta]
+            # A fully evicted cluster can leave one side empty; the cut then
+            # does not become a tree node.
+            work += (cut, right, left) if left and right else (left or right,)
+    return removed, done[0]
 
 
 def best_cut(cl: Clustering, active: set[int]) -> tuple[Cut, set[int]]:

@@ -7,21 +7,18 @@ JSON schema: top level {"k": int, "tree": node}; internal node
 from __future__ import annotations
 
 from .core import Cut
-from .tree import Internal, Leaf, ThresholdTree, TreeNode
+from .tree import Internal, Leaf, ThresholdTree, TreeNode, _walk
 
 
 def tree_to_json_obj(tree: ThresholdTree) -> dict:
-    def encode(node: TreeNode) -> dict:
+    done: list[dict] = []  # the encoded subtrees not yet joined to a parent
+    for node, enter in _walk(tree.root):
         if isinstance(node, Leaf):
-            return {"leaf": node.label}
-        return {
-            "dim": node.cut.dim,
-            "theta": node.cut.theta,
-            "left": encode(node.left),
-            "right": encode(node.right),
-        }
-
-    return {"k": tree.leaf_count, "tree": encode(tree.root)}
+            done.append({"leaf": node.label})
+        elif not enter:
+            left, right = done[-2:]
+            done[-2:] = [{"dim": node.cut.dim, "theta": node.cut.theta, "left": left, "right": right}]
+    return {"k": tree.leaf_count, "tree": done[0]}
 
 
 def _number(node: dict, field: str, kind: type) -> int | float:
@@ -44,26 +41,30 @@ def tree_from_json_obj(obj: dict) -> ThresholdTree:
         raise ValueError('tree JSON must be {"k": int, "tree": node}')
 
     labels: set[int] = set()
-
-    def decode(node: object) -> TreeNode:
-        if not isinstance(node, dict):
+    done: list[TreeNode] = []  # the decoded subtrees not yet joined to a parent
+    # (node, None) decodes a JSON node; (None, cut) joins the last two subtrees
+    todo: list[tuple[object, Cut | None]] = [(obj["tree"], None)]
+    while todo:
+        node, cut = todo.pop()
+        if cut is not None:
+            done[-2:] = [Internal(cut, *done[-2:])]
+        elif not isinstance(node, dict):
             raise ValueError("tree node must be a JSON object")
-        if "leaf" in node:
+        elif "leaf" in node:
             label = _number(node, "leaf", int)
             if label in labels:
                 raise ValueError(f"leaf label {label} appears more than once")
             labels.add(label)
-            return Leaf(label)
-        missing = [f for f in ("dim", "theta", "left", "right") if f not in node]
-        if missing:
-            raise ValueError(f"internal node missing field {missing[0]!r}")
-        cut = Cut(_number(node, "dim", int), _number(node, "theta", float))
-        return Internal(cut, decode(node["left"]), decode(node["right"]))
-
-    tree = ThresholdTree(decode(obj["tree"]))
-    if tree.leaf_count != _number(obj, "k", int):
+            done.append(Leaf(label))
+        else:
+            missing = [f for f in ("dim", "theta", "left", "right") if f not in node]
+            if missing:
+                raise ValueError(f"internal node missing field {missing[0]!r}")
+            cut = Cut(_number(node, "dim", int), _number(node, "theta", float))
+            todo += ((None, cut), (node["right"], None), (node["left"], None))
+    if len(labels) != _number(obj, "k", int):
         raise ValueError("leaf count does not match declared k")
-    return tree
+    return ThresholdTree(done[0])
 
 
 def tree_to_dot(tree: ThresholdTree, sizes: dict[int, int] | None = None) -> str:
@@ -71,22 +72,20 @@ def tree_to_dot(tree: ThresholdTree, sizes: dict[int, int] | None = None) -> str
     (``repr``), leaves show the cluster id and, when sizes are given, the
     cluster size."""
     lines = ["digraph tree {", "  node [shape=box];"]
-    counter = [0]
-
-    def walk(node: TreeNode) -> int:
-        my_id = counter[0]
-        counter[0] += 1
+    ids: list[int] = []  # preorder ids of the nodes not yet joined to a parent
+    new_id = 0
+    for node, enter in _walk(tree.root):
+        if not enter:
+            right_id, left_id = ids.pop(), ids.pop()
+            lines.append(f'  n{ids[-1]} -> n{left_id} [label="yes"];')
+            lines.append(f'  n{ids[-1]} -> n{right_id} [label="no"];')
+            continue
         if isinstance(node, Leaf):
             size = "" if sizes is None else f"\\nsize={sizes.get(node.label, 0)}"
-            lines.append(f'  n{my_id} [label="cluster {node.label}{size}", shape=ellipse];')
-            return my_id
-        lines.append(f'  n{my_id} [label="x[{node.cut.dim}] <= {node.cut.theta!r}"];')
-        left_id = walk(node.left)
-        right_id = walk(node.right)
-        lines.append(f'  n{my_id} -> n{left_id} [label="yes"];')
-        lines.append(f'  n{my_id} -> n{right_id} [label="no"];')
-        return my_id
-
-    walk(tree.root)
+            lines.append(f'  n{new_id} [label="cluster {node.label}{size}", shape=ellipse];')
+        else:
+            lines.append(f'  n{new_id} [label="x[{node.cut.dim}] <= {node.cut.theta!r}"];')
+        ids.append(new_id)
+        new_id += 1
     lines.append("}")
     return "\n".join(lines) + "\n"

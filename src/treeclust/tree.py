@@ -2,9 +2,10 @@
 
 A threshold tree is a full binary tree whose internal nodes each test one
 coordinate against a threshold (<= goes left) and whose leaves carry
-cluster labels. Shapes are unlabeled full binary trees, enumerated in a
-fixed order: the left subtree's leaf count runs 1..k-1 ascending,
-recursively.
+cluster labels. Every walk over a tree runs through ``_walk``, on an
+explicit stack, so any depth works (k clusters can need k - 1 levels).
+Shapes are unlabeled full binary trees, enumerated in a fixed order: the
+left subtree's leaf count runs 1..k-1 ascending, recursively.
 """
 from __future__ import annotations
 
@@ -35,6 +36,18 @@ class Internal(_Record):
 
 TreeNode = Union[Leaf, Internal]
 
+
+def _walk(root: TreeNode) -> Iterator[tuple[TreeNode, bool]]:
+    """Each node in preorder as (node, True), and each internal node again
+    as (node, False) once its right subtree is done; no recursion."""
+    stack: list[tuple[TreeNode, bool]] = [(root, True)]
+    while stack:
+        node, enter = stack.pop()
+        yield node, enter
+        if enter and isinstance(node, Internal):
+            stack += ((node, False), (node.right, True), (node.left, True))
+
+
 # A shape is () for a single leaf or a (left, right) pair of shapes.
 TreeShape = tuple
 
@@ -52,17 +65,7 @@ class ThresholdTree(_Record):
 
     def leaf_labels(self) -> list[int]:
         """Leaf labels in left-to-right order."""
-        out: list[int] = []
-
-        def walk(node: TreeNode) -> None:
-            if isinstance(node, Leaf):
-                out.append(node.label)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
+        return [node.label for node, _ in _walk(self.root) if isinstance(node, Leaf)]
 
 
 def tree_evaluate(tree: ThresholdTree, ds: Dataset) -> dict[int, tuple[int, ...]]:
@@ -71,17 +74,17 @@ def tree_evaluate(tree: ThresholdTree, ds: Dataset) -> dict[int, tuple[int, ...]
     Empty leaves are reported with an empty id tuple, not dropped.
     """
     result: dict[int, tuple[int, ...]] = {}
-
-    def walk(node: TreeNode, ids: list[int]) -> None:
+    parts = [list(range(ds.n))]  # id lists of the nodes still to enter, the next last
+    for node, enter in _walk(tree.root):
+        if not enter:
+            continue
+        ids = parts.pop()
         if isinstance(node, Leaf):
             result[node.label] = tuple(ids)
-            return
-        left = [i for i in ids if node.cut.goes_left(ds.points[i])]
-        right = [i for i in ids if not node.cut.goes_left(ds.points[i])]
-        walk(node.left, left)
-        walk(node.right, right)
-
-    walk(tree.root, list(range(ds.n)))
+        else:
+            left = [i for i in ids if node.cut.goes_left(ds.points[i])]
+            right = [i for i in ids if not node.cut.goes_left(ds.points[i])]
+            parts += (right, left)
     return result
 
 
@@ -131,14 +134,9 @@ def validate_tree(tree: ThresholdTree, d: int, k: int) -> list[str]:
         violations.append("duplicate leaf label")
     elif set(labels) != set(range(1, len(labels) + 1)):
         violations.append("leaf labels are not a permutation of 1..k")
-
-    def walk(node: TreeNode) -> None:
-        if isinstance(node, Leaf):
-            return
-        if not 1 <= node.cut.dim <= d:
-            violations.append(f"cut dimension {node.cut.dim} out of range 1..{d}")
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree.root)
+    violations += (
+        f"cut dimension {node.cut.dim} out of range 1..{d}"
+        for node, enter in _walk(tree.root)
+        if enter and isinstance(node, Internal) and not 1 <= node.cut.dim <= d
+    )
     return violations

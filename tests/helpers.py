@@ -178,6 +178,23 @@ def _rank_grid(ds, nprime: int):
     return thresholds, bands
 
 
+def chain_tree(k: int) -> ThresholdTree:
+    """A caterpillar k - 1 levels deep: the cut x1 <= j sends leaf j left.
+    Compare such trees by leaf labels or DOT text: a record's ==, hash,
+    repr and pickle recurse."""
+    node = Leaf(k)
+    for j in range(k - 1, 0, -1):
+        node = Internal(Cut(1, float(j)), Leaf(j), node)
+    return ThresholdTree(node)
+
+
+def neighbour_pairs(k: int) -> Clustering:
+    """The 1-d points 0..2k-1, each cluster two neighbours: greedy's tree
+    peels off one cluster per level, k - 1 levels deep."""
+    ds = Dataset.from_rows([(i,) for i in range(2 * k)])
+    return Clustering(ds, tuple(i // 2 + 1 for i in range(2 * k)), k)
+
+
 def _relabel(node):
     """The tree ``node`` with its leaves labelled 1..k left to right."""
     leaves = 0

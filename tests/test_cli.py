@@ -1,6 +1,7 @@
 """End-to-end CLI tests: the exit-code contract, the JSON and DOT reports,
 the files each subcommand writes, and the package's public names."""
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import treeclust
 from treeclust import cli, explainable, explanation
+from helpers import neighbour_pairs
 
 SEP_CSV = "x1,x2,cluster\n0,0,1\n1,1,1\n10,0,2\n11,1,2\n"
 XOR_CSV = "x1,x2,cluster\n0,0,1\n1,1,1\n0,1,2\n1,0,2\n"
@@ -160,6 +162,36 @@ class TestExplain:
         proc = run_cli("explain", sep_csv, "--format", "dot")
         assert proc.returncode == 0
         assert proc.stdout.startswith("digraph tree {")
+
+
+class TestDeepTree:
+    """1,200 clusters of two neighbours: greedy's tree is 1,199 levels deep."""
+
+    @pytest.fixture(scope="class")
+    def pairs_csv(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("deep") / "pairs.csv")
+        cli.write_csv(path, neighbour_pairs(1200), "cluster", int)
+        return path
+
+    def test_check(self, pairs_csv):
+        proc = run_cli("check", pairs_csv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["explainable"] is True
+
+    def test_explain_dot(self, pairs_csv):
+        proc = run_cli("explain", pairs_csv, "--method", "greedy", "--format", "dot")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("digraph tree {")
+        assert proc.stdout.count("->") == 2 * 1199
+
+    def test_explain_json_refused(self, pairs_csv):
+        # the json module nests only as deep as the recursion limit
+        proc = run_cli("explain", pairs_csv, "--method", "greedy")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert re.fullmatch(
+            r"error: the tree is too deep for a JSON report: json nests fewer than \d+ levels; "
+            r"use --format dot\n", proc.stderr)
 
 
 class TestKernel:

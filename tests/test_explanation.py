@@ -25,6 +25,7 @@ from treeclust.explanation import _ExactSolver, _cut_removal
 from treeclust.generate import gen_uniform
 from helpers import (
     mixed_instance,
+    neighbour_pairs,
     random_clustering,
     survivors_match,
     tree_induced_clustering,
@@ -321,6 +322,15 @@ class TestGreedyAndCheck:
         both = {True, False}
         assert answers == {"mixed": both, "0/1": both, "signed zeros": both,
                            "shared": {False}, "k = 1": {True}}
+
+    def test_greedy_and_check_at_any_depth(self):
+        # greedy's tree here is 1,199 levels deep, past the recursion limit;
+        # 1,200 keeps the test short, as a caterpillar's re-sorts are quadratic
+        cl = neighbour_pairs(1200)
+        assert check_explainable(cl)
+        res = greedy_explain(cl)
+        assert res.removed == frozenset()
+        assert res.tree.leaf_labels() == list(range(1, 1201))
 
     def test_greedy_bound_against_opt(self):
         rng = random.Random(22)

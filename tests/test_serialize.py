@@ -15,6 +15,7 @@ from treeclust import (
     tree_to_dot,
     tree_to_json_obj,
 )
+from helpers import chain_tree
 
 
 def sample_tree():
@@ -65,6 +66,22 @@ def test_malformed_json_rejected():
     assert tree_from_json_obj({"k": 1.0, "tree": {"leaf": 2.0}}) == ThresholdTree(Leaf(2))
 
 
+def test_decoder_reports_the_first_fault_in_preorder():
+    # a node's own fields, then its left subtree, then its right, then k
+    cases = [
+        ({"dim": "a", "theta": "b", "left": 5, "right": 5}, "dim must be an integer"),
+        ({"dim": 1, "theta": "b", "left": 5, "right": 5}, "theta must be a number"),
+        ({"dim": 1, "theta": 0.0, "left": 5, "right": {"dim": 1}}, "must be a JSON object"),
+        ({"dim": 1, "theta": 0.0, "left": {"dim": 1}, "right": 5}, "missing field 'theta'"),
+        ({"dim": 1, "theta": 0.0, "left": {"leaf": 1}, "right": {"leaf": 1.5}}, "leaf must be"),
+        ({"dim": 1, "theta": 0.0, "left": {"leaf": 1}, "right": {"leaf": 1}}, "more than once"),
+        ({"dim": 1, "theta": 0.0, "left": {"leaf": 1}, "right": {"leaf": 2}}, "k must be"),
+    ]
+    for tree, message in cases:
+        with pytest.raises(ValueError, match=message):
+            tree_from_json_obj({"k": "x", "tree": tree})
+
+
 def test_json_booleans_rejected():
     # JSON true/false are not the numbers 1/0 in any numeric field
     leaves = {"left": {"leaf": 1}, "right": {"leaf": 2}}
@@ -109,3 +126,25 @@ def test_dot_labels_keep_every_threshold_digit():
             stack += [node.right, node.left]
     labels = re.findall(r'label="x\[1\] <= ([^"]+)"', tree_to_dot(tree))
     assert [float(x) for x in labels] == thetas == [0.1234562, 0.1234565]
+
+
+def test_deep_tree_dot_and_json_round_trip():
+    # 4,999 levels: past the recursion limit, so every walk keeps a stack
+    k = 5000
+    tree = chain_tree(k)
+    nodes, edges = [], []
+    for j in range(1, k):
+        nodes += [f'  n{2 * j - 2} [label="x[1] <= {float(j)!r}"];',
+                  f'  n{2 * j - 1} [label="cluster {j}", shape=ellipse];']
+    nodes.append(f'  n{2 * k - 2} [label="cluster {k}", shape=ellipse];')
+    for j in range(k - 1, 0, -1):  # each node's edges once its right subtree is done
+        edges += [f'  n{2 * j - 2} -> n{2 * j - 1} [label="yes"];',
+                  f'  n{2 * j - 2} -> n{2 * j} [label="no"];']
+    dot = tree_to_dot(tree)
+    assert dot == "\n".join(["digraph tree {", "  node [shape=box];", *nodes, *edges, "}"]) + "\n"
+    # trees this deep are compared by DOT text: a record's == recurses
+    obj = tree_to_json_obj(tree)
+    assert obj["k"] == k
+    back = tree_from_json_obj(obj)
+    assert back.leaf_labels() == list(range(1, k + 1))
+    assert tree_to_dot(back) == dot

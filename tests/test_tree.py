@@ -12,6 +12,9 @@ from treeclust import (
     tree_from_shape,
     validate_tree,
 )
+from helpers import chain_tree
+
+DEEP = 5000
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
@@ -74,3 +77,27 @@ def test_validate_tree_flags_problems():
     assert any("dimension" in v for v in validate_tree(bad_dim, ds_dims, 2))
     not_perm = ThresholdTree(Internal(Cut(1, 0.0), Leaf(1), Leaf(3)))
     assert any("permutation" in v for v in validate_tree(not_perm, ds_dims, 2))
+
+
+@pytest.fixture(scope="module")
+def deep_tree():
+    return chain_tree(DEEP)
+
+
+def test_leaf_labels_at_any_depth(deep_tree):
+    assert deep_tree.leaf_labels() == list(range(1, DEEP + 1))
+    assert deep_tree.leaf_count == DEEP
+
+
+def test_evaluate_at_any_depth(deep_tree):
+    ds = Dataset.from_rows([[1], [2500], [DEEP]])
+    ev = tree_evaluate(deep_tree, ds)
+    assert list(ev) == list(range(1, DEEP + 1))
+    assert (ev[1], ev[2500], ev[DEEP]) == ((0,), (1,), (2,))
+    assert sum(map(len, ev.values())) == 3
+
+
+def test_validate_at_any_depth(deep_tree):
+    assert validate_tree(deep_tree, 1, DEEP) == []
+    # every cut is reported, in preorder
+    assert validate_tree(deep_tree, 0, DEEP) == ["cut dimension 1 out of range 1..0"] * (DEEP - 1)
