@@ -7,9 +7,10 @@ two exact solvers, solve_branching (recursive branching search) and
 solve_dp (dynamic program over point subsets), search every canonical cut
 and return the same tree; they run one body and differ only in their
 core.LIMITS entry. A state with two leaves left prices all its cuts,
-canonical or grid, from one sorted pass per dimension; a canonical state
-with more searches each dimension's cuts best-first and skips those a
-monotone lower bound rules out. Every leaf cost is the float nearest the
+canonical or grid, from one sorted pass per dimension; a state with more
+reads its cuts' sides off one such pass per dimension, and a canonical one
+searches each dimension's cuts best-first and skips those a monotone lower
+bound rules out. Every leaf cost is the float nearest the
 exact cost (core._exact_cost), so a sweep's value is the cost itself and
 trees and tie-breaks are those of pricing every leaf with cluster_cost; a
 leaf whose cost overflows a float is priced as inf. solve_approx is an
@@ -106,13 +107,13 @@ def _finish(node: TreeNode, ds: Dataset, cost: float, kind: CostKind) -> Explain
 
 class _LeafCosts:
     """Exactly rounded leaf costs (see core._exact_cost) of one dataset.
-    ``leaf`` prices one member set and keeps it in ``known`` (member mask
-    -> cost), which is dropped whenever it holds more than _KNOWN_MAX
-    costs; that bounds its memory (solve_approx on gen_uniform(4, 50, 2, 5)'s
-    n = 200 points at k = 4, epsilon = 0.05 prices 24,736 leaves for means
-    and 26,562 for medians, all distinct, so it stays below).
     ``sides`` prices the prefixes and suffixes of one ordered member list
-    in one pass, with exact int prefix sums, and keeps nothing."""
+    in one pass, with exact int prefix sums, and keeps nothing. ``leaf``
+    prices what no sweep does (k = 1, a grid left side that is no prefix,
+    a two-leaf state's theta-tie left sides), one member set at a time,
+    and keeps it in ``known`` (mask -> cost), dropped whenever it holds
+    more than _KNOWN_MAX costs to bound its memory (solve_approx on
+    gen_uniform(4, 50, 2, 5) at k = 4, epsilon = 0.05 prices none)."""
 
     def __init__(self, pts: tuple[Point, ...], kind: CostKind):
         self.kind = kind
@@ -154,10 +155,12 @@ class _LeafCosts:
                              for x, m in zip(lnums, lsizes)]
                     rnums = [x + acc[n] - acc[n - (r >> 1)] - acc[n - r + (r >> 1)] + acc[n - r]
                              for x, r in zip(rnums, rsizes)]
-                else:
-                    lnums = list(map(add, lnums, _running_l1(vals, lsizes)))
-                    back = _running_l1(vals[::-1], rsizes[::-1])
-                    rnums = list(map(add, rnums, reversed(back)))
+                else:  # each _running_l1 walks every value, so skip an idle one
+                    if lsizes:
+                        lnums = list(map(add, lnums, _running_l1(vals, lsizes)))
+                    if rsizes:
+                        back = _running_l1(vals[::-1], rsizes[::-1])
+                        rnums = list(map(add, rnums, reversed(back)))
             ldens = rdens = repeat(self.scale)
         else:  # a suffix's sums are the whole list's minus the prefix's before it
             sq = list(accumulate([self.squares[i] for i in ids], initial=0))
@@ -231,8 +234,8 @@ def _split_search(
     cannot replace it; skipping it only leaves a state unmemoized.
 
     Leaf costs are exactly rounded (``_LeafCosts``), inf where they
-    overflow a float; single leaves go through its map. A state with quota
-    2 prices all its cuts by sweeps: per dimension it lists its members in
+    overflow a float. A state with quota 2 prices all its cuts by sweeps:
+    per dimension it lists its members in
     (value, id) order, ``sides`` prices every left side, a prefix, and
     every right side, a suffix, and the state takes the first cut of least
     total in (dimension, cut) order, as the loop would. A grid line's right
@@ -241,6 +244,17 @@ def _split_search(
     past it equals theta too: then that member goes left, past the band,
     and ``leaf`` prices the left side. Of prefix-left lines with the same
     two sides only the first is priced; the others never win.
+
+    A state with quota s >= 3 sweeps too: the first time it prices a cut
+    in a dimension, one ``sides`` call prices every prefix and suffix of
+    its members in that (value, id) order. A canonical cut's sides are a
+    prefix and a suffix; a grid line's right side is a suffix, and its left
+    side a prefix unless its band holds only theta and a member past it
+    equals theta, which the prefix masks tell (then ``leaf`` prices it). A
+    one-leaf side reads its cost off the sweep, and a two-leaf side gets
+    the sweep's prefixes (suffixes) through ``solve``, not its memo key, as
+    its own in that dimension. Each is the exactly rounded cost ``leaf``
+    gives, so costs, trees, tie-breaks and the states priced are unchanged.
 
     A canonical state with quota s >= 3 searches each (s1, dimension) run
     of cuts best-first. For point sets with at least q distinct points, the
@@ -338,7 +352,24 @@ def _split_search(
             a = b
         return lsizes, rsizes, odd, heads
 
-    def two_leaves(mask: int) -> tuple[float, TreeNode | None, int]:
+    def sweeps(mask: int):
+        """A quota >= 3 state's sweep(dim): (pre, suf, upto), the costs pre[m]
+        and suf[r] of its first m and last r members in dimension dim's
+        order and, on the grid, the masks upto[m] of its first m members."""
+        flags = format(mask, f"0{costs.n}b")[::-1]
+        made: dict[int, tuple[list[float], list[float], list[int] | None]] = {}
+
+        def sweep(dim: int) -> tuple[list[float], list[float], list[int] | None]:
+            if dim not in made:
+                ids = [i for i in costs.order[dim - 1] if flags[i] == "1"]
+                n = len(ids)
+                lefts, rights = costs.sides(ids, dim, range(1, n), range(n - 1, 0, -1))
+                upto = list(accumulate((1 << i for i in ids), or_, initial=0)) if nprime else None
+                made[dim] = [_INF, *lefts], [_INF, *reversed(rights)], upto
+            return made[dim]
+        return sweep
+
+    def two_leaves(mask: int, edge: tuple | None) -> tuple[float, TreeNode | None, int]:
         flags = format(mask, f"0{costs.n}b")[::-1]
         best, win = _INF, None
         for dim, (order, col) in enumerate(zip(costs.order, costs.cols), start=1):
@@ -349,7 +380,11 @@ def _split_search(
                 rsizes, odd, heads = [len(ids) - m for m in lsizes], (), None
             else:
                 lsizes, rsizes, odd, heads = line_cuts(mask, flags, ids, dim, col)
-            lefts, rights = costs.sides(ids, dim, lsizes, rsizes)
+            # a prefix (suffix) of its parent along dim reads those off its sweep
+            pre, suf = edge[1:] if edge and edge[0] == dim else (None, None)
+            lefts, rights = costs.sides(ids, dim, [] if pre else lsizes, [] if suf else rsizes)
+            lefts = [pre[m] for m in lsizes] if pre else lefts
+            rights = [suf[r] for r in rsizes] if suf else rights
             for t, lmask in odd:  # left sides that are not prefixes of ids
                 lefts.insert(t, costs.leaf(lmask))
             totals = list(map(add, lefts, rights))
@@ -369,12 +404,14 @@ def _split_search(
         distinct = (mask & reps).bit_count()
         ends = [0, *accumulate(len(list(run)) for _, run in groupby(splits, key=itemgetter(0)))]
         best, at, win = _INF, -1, None
+        sweep = sweeps(mask)
 
         def price(s1: int, i: int) -> tuple[float, float]:
             nonlocal best, at, win
             dim, lmask, new = splits[i]
-            cl, node_l, _ = solve(lmask, s1)
-            cr, node_r, _ = solve(mask ^ lmask, s - s1)
+            pre, suf, _ = sweep(dim)
+            cl, node_l, _ = solve(lmask, s1, (dim, pre, None))
+            cr, node_r, _ = solve(mask ^ lmask, s - s1, (dim, None, suf))
             total = cl + cr
             pos = s1 * width + i
             if total < best or total == best < _INF and pos < at:
@@ -414,30 +451,37 @@ def _split_search(
         # a split's right side may hold fewer than size - nl: then it costs inf
         size = mask.bit_count()
         best, win, dropped = _INF, None, 0
+        sweep = sweeps(mask)
         for s1 in range(1, s):
             s2 = s - s1
             for dim, lmask, rmask, nl, new in splits:
                 if nl < s1 or size - nl < s2:
                     continue
-                if s2 == 1 and costs.leaf(rmask) >= best:
+                pre, suf, upto = sweep(dim)
+                if s2 == 1 and suf[rmask.bit_count()] >= best:
                     continue  # the right leaf alone reaches the best total
-                cl, node_l, dropped_l = solve(lmask, s1)
+                # the right side is a suffix; the left a prefix unless theta ties cross the band
+                edge = (dim, pre, None) if upto[nl] == lmask else None
+                cl, node_l, dropped_l = solve(lmask, s1, edge)
                 if cl >= best:
                     continue
-                cr, node_r, dropped_r = solve(rmask, s2)
+                cr, node_r, dropped_r = solve(rmask, s2, (dim, None, suf))
                 total = cl + cr
                 if total < best:
                     best, win = total, (dim, new, node_l, node_r)
                     dropped = (mask ^ lmask ^ rmask) | dropped_l | dropped_r
         return best, win and cut_node(*win), dropped
 
-    def solve(mask: int, s: int) -> tuple[float, TreeNode | None, int]:
+    def solve(mask: int, s: int, edge: tuple | None = None) -> tuple[float, TreeNode | None, int]:
+        # edge: (dim, pre, None) or (dim, None, suf) when mask is a prefix or a
+        # suffix of its parent's members along dim, from the parent's sweep
         if s == 1:
-            return costs.leaf(mask), _LEAF, 0
+            cost = costs.leaf(mask) if edge is None else (edge[1] or edge[2])[mask.bit_count()]
+            return cost, _LEAF, 0
         hit = memo.get((mask, s))
         if hit is None:
             if s == 2:
-                hit = two_leaves(mask)
+                hit = two_leaves(mask, edge)
             elif not nprime:
                 hit = best_first(mask, s)
             else:

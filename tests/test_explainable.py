@@ -4,6 +4,9 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate
+from operator import or_
 
 import pytest
 
@@ -103,33 +106,46 @@ class TestSolveBranching:
         with pytest.raises(ValueError, match="too few distinct points"):
             solver(Dataset(ds.points[:4]), 3, CostKind.MEANS)
 
-    @pytest.mark.parametrize("solver", [solve_branching, solve_dp])
+    @pytest.mark.parametrize(
+        "solver", [solve_branching, solve_dp, partial(solve_approx, epsilon=0.3),
+                   partial(solve_approx, epsilon=0.5)],
+        ids=["solve_branching", "solve_dp", "solve_approx-0.3", "solve_approx-0.5"])
     def test_overflowing_sweeps_keep_the_sides_they_priced(self, solver, monkeypatch):
         # with a tiny cap, a sweep that overflows must not drop the sides an
-        # earlier sweep of the same two-leaf state stored
-        rows = [(0,), (1,), (1e200,)]
-        want = [solver(Dataset.from_rows(rows), 2, CostKind.MEANS).cost]
-        rng = random.Random(47)
-        cases = [Dataset(tie_heavy_points(rng, rng.randint(5, 10), rng.randint(1, 2)))
-                 for _ in range(6)]
-        cases = [Dataset(tuple(tuple(x * 1e199 if x > 0 else x for x in p) for p in ds.points))
-                 for ds in cases]
-        for ds in cases:
-            for k in (2, 3):
+        # earlier sweep of the same two-leaf state stored; and every side a
+        # sweep prices, in states with any quota, is inf exactly where
+        # pricing it alone with ``leaf`` gives inf
+        cases = [(Dataset.from_rows([(0,), (1,), (1e200,)]), 2)]
+        cases += [(Dataset(pts), k) for pts in _overflowing_inputs() for k in (2, 3, 4)]
+        # pairs 1e200 apart: fewer leaves than pairs merge two of them, and overflow
+        cases += [(Dataset.from_rows([(g * 1e200,) for g in range(m) for _ in range(2)]), k)
+                  for m in (4, 5) for k in (m - 1, m)]
+
+        def results():
+            out = []
+            for ds, k in cases:
                 try:
-                    want.append(solver(ds, k, CostKind.MEANS).cost)
+                    res = solver(ds, k, CostKind.MEANS)
                 except (ValueError, OverflowError) as exc:
-                    want.append(type(exc))
+                    out.append(type(exc))
+                else:
+                    out.append((repr(res.cost), json.dumps(tree_to_json_obj(res.tree)),
+                                sorted(getattr(res, "removed", ()))))
+            return out
+
+        def alone(self, ids, dim, lsizes, rsizes):
+            upto = list(accumulate((1 << i for i in ids), or_, initial=0))
+            return ([self.leaf(upto[m]) for m in lsizes],
+                    [self.leaf(upto[-1] ^ upto[len(ids) - r]) for r in rsizes])
+
+        want = results()
+        # every tree with fewer leaves than pairs has a leaf that costs inf
+        assert [res == OverflowError for res in want[-4:]] == [True, False, True, False]
         for cap in (0, 1, 8):
             monkeypatch.setattr(explainable, "_KNOWN_MAX", cap)
-            got = [solver(Dataset.from_rows(rows), 2, CostKind.MEANS).cost]
-            for ds in cases:
-                for k in (2, 3):
-                    try:
-                        got.append(solver(ds, k, CostKind.MEANS).cost)
-                    except (ValueError, OverflowError) as exc:
-                        got.append(type(exc))
-            assert got == want
+            assert results() == want
+        monkeypatch.setattr(explainable._LeafCosts, "sides", alone)
+        assert results() == want
 
     def test_guard_rail(self):
         ds = Dataset.from_rows([(float(i),) for i in range(12)])
@@ -395,8 +411,10 @@ def test_running_l1_matches_sorted_halves():
 
 
 def _count_two_leaf_states(monkeypatch):
-    """A Counter whose "states" counts the two-leaf states the split search
-    prices from now on: each prices the sides of dimension 1 once."""
+    """A Counter whose "states" counts the sides calls of dimension 1 the
+    split search makes from now on: one per two-leaf state it prices, plus
+    one per state with three or more leaves left that prices a cut in
+    dimension 1 (its sweep)."""
     calls = Counter()
     real = explainable._LeafCosts.sides
 
@@ -531,26 +549,31 @@ class TestSplitSearch:
         monkeypatch.setattr(explainable, "_exact_cost", exact)
         ds = Dataset(random_points(random.Random(44), 120, 2, hi=10**6))
         solve_branching(ds, 3, CostKind.MEDIANS)
-        # 92 two-leaf states and 92 single leaves, the other sides of the
-        # root's priced cuts; pricing each side of each two-leaf state on its
+        # 92 two-leaf states and the root's sweep; the other sides of the
+        # root's priced cuts read their costs off that sweep (they were 92
+        # single leaves), and pricing each side of each two-leaf state on its
         # own takes 28,856 single leaves
-        assert calls["states"] < 150 and calls["leaf"] < 300, calls
+        assert calls["states"] < 150 and calls["leaf"] == 0, calls
 
     @pytest.mark.parametrize("kind", BOTH_KINDS)
     def test_best_first_prices_few_two_leaf_states(self, kind, monkeypatch):
         calls = _count_two_leaf_states(monkeypatch)
         ds = Dataset(random_points(random.Random(5), 200, 2, hi=10**6))
         solve_branching(ds, 3, kind)
-        # 54 two-leaf states (MEANS) and 105 (MEDIANS); pricing every cut of
-        # the root takes 792 of them
+        # 55 sides calls (MEANS) and 106 (MEDIANS): 54 and 105 two-leaf
+        # states and the root's sweep; pricing every cut of the root takes
+        # 792 two-leaf states
         assert calls["states"] < 250, calls
 
     def test_quota_three_states_price_few_two_leaf_states(self, monkeypatch):
         calls = _count_two_leaf_states(monkeypatch)
         ds = Dataset(random_points(random.Random(45), 40, 2, hi=10**6))
-        # 535 two-leaf states (MEANS) and 1,322 (MEDIANS); pricing both ends
-        # of each run first takes 698 and 1,630, and pricing every cut of
-        # every state with three or more leaves 2,916 (MEANS)
+        # 558 sides calls (MEANS) and 1,379 (MEDIANS): 535 and 1,322 two-leaf
+        # states and 23 and 57 dimension-1 sweeps of states with three or
+        # four leaves left; pricing both
+        # ends of each run first takes 698 and 1,630 two-leaf states, and
+        # pricing every cut of every state with three or more leaves 2,916
+        # (MEANS)
         for kind, most in [(CostKind.MEANS, 600), (CostKind.MEDIANS, 1450)]:
             calls["states"] = 0
             solve_dp(ds, 4, kind)
@@ -560,14 +583,20 @@ class TestSplitSearch:
         class Cost(float):
             """A float that the cyclic garbage collector tracks."""
 
-        real = explainable._exact_cost
+        real, real_sides = explainable._exact_cost, explainable._LeafCosts.sides
+
+        def sides(*args):
+            return [[Cost(c) for c in costs] for costs in real_sides(*args)]
+
         monkeypatch.setattr(explainable, "_exact_cost", lambda *args: Cost(real(*args)))
+        monkeypatch.setattr(explainable._LeafCosts, "sides", sides)
         ds = Dataset(random_points(random.Random(45), 40, 2, hi=10**6))
         flat = Dataset.from_rows([(0.0, 0.0)] * 5)
         gc.collect()
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
+            solve_branching(ds, 1, CostKind.MEANS)  # the one leaf goes through the map
             solve_branching(ds, 3, CostKind.MEANS)
             solve_dp(ds, 4, CostKind.MEANS)  # quota-3 states and their heaps
             with pytest.raises(ValueError):
@@ -578,8 +607,8 @@ class TestSplitSearch:
             gc.set_debug(0)
             gc.garbage.clear()
             gc.enable()
-        # the memo held about 8,500 objects after the first solve and the
-        # leaf-cost map 69 costs of single leaves
+        # without the memo's final clear about 2,600 objects are left over,
+        # and without the leaf-cost map's the k = 1 leaf's Cost is one of them
         assert len(left_over) < 200
         assert not any(isinstance(obj, Cost) for obj in left_over)
 
@@ -743,9 +772,10 @@ class TestSolveApprox:
         monkeypatch.setattr(explainable, "_exact_cost", counting)
         ds = Dataset(random_points(random.Random(47), 66, 2, hi=10**6))
         solve_approx(ds, 3, CostKind.MEANS, 0.1)
-        # 124 calls: the two-leaf states price their sides by sorted passes;
-        # pricing each side of each of their cuts alone took 2,407 with the
-        # leaf-cost map and 7,976 without it
+        # no calls: the two-leaf states price their sides by sorted passes
+        # and the root reads its one-leaf sides off its sweep (124 calls when
+        # it priced them one at a time); pricing each side of each two-leaf
+        # cut alone took 2,407 with the leaf-cost map and 7,976 without it
         assert calls[0] < 3000
 
     def test_two_leaf_grid_states_price_few_leaves(self, monkeypatch):
@@ -759,8 +789,9 @@ class TestSolveApprox:
         monkeypatch.setattr(explainable, "_exact_cost", exact)
         ds = Dataset(random_points(random.Random(4), 90, 2, hi=10**6))
         solve_approx(ds, 3, CostKind.MEANS, 0.1)
-        # 67 two-leaf states and 112 single leaves, the root's s1 = 1 and
-        # s1 = 2 sides; pricing each side of each grid cut alone takes 2,343,
+        # 68 sides calls, 67 two-leaf states and the root's sweep, and no
+        # single leaf (the root's one-leaf sides were 112 when it priced them
+        # one at a time); pricing each side of each grid cut alone takes 2,343,
         # and pricing the two-leaf side of a cut whose one-leaf side already
         # reaches the best total makes 92 states
         assert calls["states"] < 80 and calls["leaf"] < 300, calls
@@ -788,6 +819,47 @@ class TestSolveApprox:
         assert leaves == [1 << 3 | 1 << 0 | 1 << 6]
         if kind is CostKind.MEANS:  # the crossing line is the unique optimum
             assert got.removed == {2, 4} and got.cost == 50 / 3 + 0.5
+
+    @pytest.mark.parametrize("kind", BOTH_KINDS)
+    def test_band_of_ties_crossed_at_quota_three(self, kind, monkeypatch):
+        """At the root, a state with three leaves left, the line at rank 2 of
+        dimension 1 has a band of two copies of theta = 5 and point 8, past
+        the band, equals theta too: that line's left side {0, 2, 8} is no
+        prefix of the root's sorted members, so ``leaf`` prices it and the
+        root's sweep does not, while its right sides are the sweep's."""
+        pts = ((5, 0), (9, 0), (5, 0), (10, 3), (5, 0), (5, 3), (10, 1), (10, 3), (5, 3))
+        ds = Dataset.from_rows(pts)
+        leaves = set()
+        real_leaf = explainable._LeafCosts.leaf
+
+        def leaf(self, mask):
+            leaves.add(mask)
+            return real_leaf(self, mask)
+
+        monkeypatch.setattr(explainable._LeafCosts, "leaf", leaf)
+        got = solve_approx(ds, 3, kind, 0.9)  # n' = 2: lines at ranks 2, 4, 6, 8
+        want = reference_solve_approx(ds, 3, kind, 0.9)
+        assert repr(got.cost) == repr(want.cost)
+        assert json.dumps(tree_to_json_obj(got.tree)) == json.dumps(tree_to_json_obj(want.tree))
+        assert (got.removed, got.kept, got.rank_grid) == (want.removed, want.kept, want.rank_grid)
+        assert leaves == {1 << 0 | 1 << 2 | 1 << 8}
+
+    def test_quota_three_grid_roots_match_list_enumeration(self):
+        """At k = 3 and n' = 1 the root's one-leaf sides, the right leaves of
+        its skip test included, and its children's sides along each line come
+        off the root's sweeps; cost, tree and removed set equal the
+        enumeration's exactly on tie-heavy inputs in the plane."""
+        rng = random.Random(51)
+        for _ in range(60):
+            ds = Dataset(tie_heavy_points(rng, rng.randint(6, 10), 2))
+            for kind in BOTH_KINDS:
+                try:
+                    want = reference_solve_approx(ds, 3, kind, 0.5)
+                except ValueError:
+                    continue
+                got = solve_approx(ds, 3, kind, 0.5)
+                assert (repr(got.cost), got.removed) == (repr(want.cost), want.removed)
+                assert json.dumps(tree_to_json_obj(got.tree)) == json.dumps(tree_to_json_obj(want.tree))
 
     def test_releases_its_memo(self, monkeypatch):
         class Cost(float):
