@@ -847,17 +847,19 @@ class TestSolveApprox:
     def test_quota_three_grid_roots_match_list_enumeration(self):
         """At k = 3 and n' = 1 the root's one-leaf sides, the right leaves of
         its skip test included, and its children's sides along each line come
-        off the root's sweeps; cost, tree and removed set equal the
-        enumeration's exactly on tie-heavy inputs in the plane."""
+        off the root's sweeps; at k = 4, with n' = 1 (n = 8) and n' = 2
+        (n = 12), so do those of the quota-3 grid states below the root.
+        Cost, tree and removed set equal the enumeration's exactly on
+        tie-heavy inputs in the plane."""
         rng = random.Random(51)
-        for _ in range(60):
-            ds = Dataset(tie_heavy_points(rng, rng.randint(6, 10), 2))
+        for k, eps, n in [(3, 0.5, None)] * 60 + [(4, 0.5, 8), (4, 0.7, 12)] * 10:
+            ds = Dataset(tie_heavy_points(rng, n or rng.randint(6, 10), 2))
             for kind in BOTH_KINDS:
                 try:
-                    want = reference_solve_approx(ds, 3, kind, 0.5)
+                    want = reference_solve_approx(ds, k, kind, eps)
                 except ValueError:
                     continue
-                got = solve_approx(ds, 3, kind, 0.5)
+                got = solve_approx(ds, k, kind, eps)
                 assert (repr(got.cost), got.removed) == (repr(want.cost), want.removed)
                 assert json.dumps(tree_to_json_obj(got.tree)) == json.dumps(tree_to_json_obj(want.tree))
 
