@@ -109,26 +109,12 @@ def _drop_left(left: Sequence[int], right: Sequence[int]) -> list[bool]:
     return drops
 
 
-def _cut_removal(
-    pts: Sequence[Point], labels: Sequence[int], active: Sequence[int], dim: int, theta: float
-) -> set[int]:
-    """Removal set for one cut, by the case analysis of ``_drop_left``."""
-    parts: dict[int, tuple[list[int], list[int]]] = {}
-    for i in active:
-        side = parts.setdefault(labels[i], ([], []))
-        side[0 if pts[i][dim - 1] <= theta else 1].append(i)
-    sides = [parts[lab] for lab in sorted(parts)]
-    drops = _drop_left([len(l) for l, _ in sides], [len(r) for _, r in sides])
-    removed: set[int] = set()
-    for (l, r), drop in zip(sides, drops):
-        removed.update(l if drop else r)
-    return removed
-
-
 def _best_cut(
     pts: Sequence[Point], labels: Sequence[int], active: Sequence[int]
-) -> tuple[Cut, set[int]]:
-    """Cheapest canonical cut of the active points and its removal set.
+) -> tuple[Cut, list[int], list[int], list[int]] | None:
+    """Cheapest canonical cut of the active points and the node's split:
+    (cut, left survivors, right survivors, removed), each in active order,
+    or None when the active points hold one cluster.
 
     Ties go to the least key (removal count, dim, θ). One stable sort per
     dimension; the sweep then walks runs of equal coordinates, moving each
@@ -140,13 +126,15 @@ def _best_cut(
     has its majority on one side. So a node costs O(d·n log n + d·n), plus
     O(k) per one-sided threshold. θ is the coordinate of the run's first active
     point, which keeps the sign of a zero. Cuts come in key order, so the
-    scan stops at the first one that removes nothing. Only the winner's
-    removal set is built.
+    scan stops at the first one that removes nothing. Two more passes
+    over the active points split the node at the winner: one counts each
+    cluster's left side for ``_drop_left``, the other sends each point
+    left, right or to the removal list.
     """
     present = sorted({labels[i] for i in active})
     m = len(present)
     if m < 2:
-        raise ValueError("best cut needs at least two nonempty clusters")
+        return None
     slot = {lab: j for j, lab in enumerate(present)}
     total = [0] * m
     for i in active:
@@ -195,7 +183,17 @@ def _best_cut(
             break
     assert best is not None
     _, dim, theta = best
-    return Cut(dim, theta), _cut_removal(pts, labels, active, dim, theta)
+    left = [0] * m
+    for i in active:
+        if pts[i][dim - 1] <= theta:
+            left[slot[labels[i]]] += 1
+    drops = _drop_left(left, [t - l for t, l in zip(total, left)])
+    parts: tuple[list[int], list[int], list[int]] = ([], [], [])  # left, right, removed
+    for i in active:
+        low = pts[i][dim - 1] <= theta
+        # a point goes when its cluster drops the side it is on
+        parts[2 if drops[slot[labels[i]]] == low else 0 if low else 1].append(i)
+    return (Cut(dim, theta), *parts)
 
 
 def _greedy(
@@ -211,14 +209,11 @@ def _greedy(
         item = work.pop()
         if isinstance(item, Cut):
             done[-2:] = [Internal(item, *done[-2:])]
-        elif len({labels[i] for i in item}) <= 1:
+        elif (split := _best_cut(pts, labels, item)) is None:
             done.append(Leaf(labels[item[0]]))
         else:
-            cut, gone = _best_cut(pts, labels, item)
-            removed |= gone
-            survivors = [i for i in item if i not in gone]
-            left = [i for i in survivors if pts[i][cut.dim - 1] <= cut.theta]
-            right = [i for i in survivors if pts[i][cut.dim - 1] > cut.theta]
+            cut, left, right, gone = split
+            removed.update(gone)
             # A fully evicted cluster can leave one side empty; the cut then
             # does not become a tree node.
             work += (cut, right, left) if left and right else (left or right,)
@@ -231,7 +226,11 @@ def best_cut(cl: Clustering, active: set[int]) -> tuple[Cut, set[int]]:
     Ties go to the least (removal count, dim, θ); O(d·n log n + d·n) for n
     active points, plus O(k) at each threshold where all k clusters among
     them have their majority on one side."""
-    return _best_cut(cl.ds.points, cl.labels, sorted(active))
+    split = _best_cut(cl.ds.points, cl.labels, sorted(active))
+    if split is None:
+        raise ValueError("best cut needs at least two nonempty clusters")
+    cut, _, _, removed = split
+    return cut, set(removed)
 
 
 def greedy_explain(cl: Clustering) -> ExplanationResult:

@@ -630,7 +630,8 @@ class TestPublicSurface:
         code = ("import sys, treeclust.cli, treeclust.core, treeclust.tree, treeclust.serialize, "
                 "treeclust.explanation, treeclust.explainable, treeclust.generate, treeclust.oracle; "
                 "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        # -S: no site hooks, whose imports belong to the environment, not the package
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
 

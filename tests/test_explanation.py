@@ -21,7 +21,7 @@ from treeclust import (
     opt_explain,
     tree_to_json_obj,
 )
-from treeclust.explanation import _ExactSolver, _cut_removal
+from treeclust.explanation import _ExactSolver, _best_cut, _drop_left
 from treeclust.generate import gen_uniform
 from helpers import (
     mixed_instance,
@@ -111,8 +111,19 @@ def signed_tie_instance(rng: random.Random, n: int, d: int, k: int, hi: int) -> 
     return Clustering(Dataset(tuple(pts)), tuple(labels), k)
 
 
+def cut_removal(pts, labels, active: list[int], dim: int, theta: float) -> set[int]:
+    """Removal set of one cut on its own: each cluster's active points split
+    into side lists, and ``_drop_left`` picks the side that goes."""
+    sides: dict[int, tuple[list[int], list[int]]] = {}
+    for i in active:
+        sides.setdefault(labels[i], ([], []))[pts[i][dim - 1] > theta].append(i)
+    parts = [sides[lab] for lab in sorted(sides)]
+    drops = _drop_left([len(l) for l, _ in parts], [len(r) for _, r in parts])
+    return {i for (l, r), drop in zip(parts, drops) for i in (l if drop else r)}
+
+
 def cut_case(cl: Clustering, active: list[int], dim: int, theta: float) -> str:
-    """Majority case of a cut over the active points, as _cut_removal sees it."""
+    """Majority case of a cut over the active points, as cut_removal sees it."""
     counts: dict[int, list[int]] = {}
     for i in active:
         counts.setdefault(cl.labels[i], [0, 0])[cl.ds.points[i][dim - 1] > theta] += 1
@@ -126,7 +137,7 @@ def cut_case(cl: Clustering, active: list[int], dim: int, theta: float) -> str:
 
 class TestBestCutSweep:
     def test_matches_quadratic_scan(self):
-        # the old scan: price every distinct coordinate with _cut_removal,
+        # the old scan: price every distinct coordinate with cut_removal,
         # keep the least (count, dim, theta); theta from a set of member
         # values keeps the first member's zero sign
         rng = random.Random(41)
@@ -139,21 +150,31 @@ class TestBestCutSweep:
                 continue
             pts = cl.ds.points
             want = min(
-                (len(_cut_removal(pts, cl.labels, active, dim, theta)), dim, theta)
+                (len(cut_removal(pts, cl.labels, active, dim, theta)), dim, theta)
                 for dim in range(1, d + 1)
                 for theta in sorted({pts[i][dim - 1] for i in active})
             )
             cut, removed = best_cut(cl, set(active))
             assert (len(removed), cut.dim, cut.theta) == want
             assert math.copysign(1.0, cut.theta) == math.copysign(1.0, want[2])
-            assert removed == _cut_removal(pts, cl.labels, active, cut.dim, cut.theta)
+            ref = cut_removal(pts, cl.labels, active, cut.dim, cut.theta)
+            assert removed == ref
+            # the node's split: a partition of the active points, each part
+            # in active order (ascending here), survivors on their cut side
+            split_cut, left, right, gone = _best_cut(pts, cl.labels, active)
+            assert (split_cut.dim, repr(split_cut.theta)) == (cut.dim, repr(cut.theta))
+            assert sorted(left + right + gone) == active
+            assert all(part == sorted(part) for part in (left, right, gone))
+            assert all(pts[i][cut.dim - 1] <= cut.theta for i in left)
+            assert all(pts[i][cut.dim - 1] > cut.theta for i in right)
+            assert set(gone) == ref
             seen.add(cut_case(cl, active, cut.dim, cut.theta))
         assert seen == {"all-left", "all-left, last threshold", "all-right", "mixed",
                         "mixed, balanced"}
 
     def test_greedy_matches_quadratic_reference(self):
         # the whole recursion against a reference greedy whose every node
-        # prices each distinct coordinate with _cut_removal; the tree as JSON
+        # prices each distinct coordinate with cut_removal; the tree as JSON
         # text, so that -0.0 != 0.0
         def reference(cl, active, depth, cases):
             pts = cl.ds.points
@@ -161,13 +182,13 @@ class TestBestCutSweep:
             if len(present) == 1:
                 return set(), Leaf(present[0])
             _, dim, theta = min(
-                (len(_cut_removal(pts, cl.labels, active, dim, theta)), dim, theta)
+                (len(cut_removal(pts, cl.labels, active, dim, theta)), dim, theta)
                 for dim in range(1, cl.ds.d + 1)
                 for theta in sorted({pts[i][dim - 1] for i in active})
             )
             if depth:
                 cases.add(cut_case(cl, active, dim, theta))
-            removed = _cut_removal(pts, cl.labels, active, dim, theta)
+            removed = cut_removal(pts, cl.labels, active, dim, theta)
             survivors = [i for i in active if i not in removed]
             sides = ([i for i in survivors if pts[i][dim - 1] <= theta],
                      [i for i in survivors if pts[i][dim - 1] > theta])
